@@ -11,22 +11,25 @@
 //   1. inputs    the workload's stream, generated from --seed: a starting
 //                state and a replay buffer the producer cycles through;
 //   2. snapshot  the starting state saved with engine::SaveAll (untimed);
-//   3. setup     engine::LoadAll from that snapshot, several times;
-//                setup_s is the median restart time;
+//   3. setup     engine::LoadAll from that snapshot: the engine the run
+//                drives. More restarts follow every cycle (step 6), so
+//                setup_s, the median restart time, samples the whole run;
 //   4. warm-up   a fixed number of events, closed loop, untimed;
 //   5. open loop bursts on a fixed schedule plus the reader's query
 //                rounds: the latency metrics;
 //   6. closed    the producer pushes a fixed number of 1024-event chunks
 //      loop      as fast as the engine takes them: ingest_eps is the
-//                median rate of fixed-size segments;
+//                median rate of fixed-size segments; then, with the
+//                engine idle, a few more timed restarts on the side;
 //                steps 5 and 6 alternate kCycles times;
 //   7. checks    after Drain(), total_count, Mode, Median, TopK(100), the
 //                merged Histogram and sampled point frequencies against an
 //                exact per-id oracle.
 //
-// With --trace 1 the same run also records spans around every call into
-// the engine's layers, measures single-layer costs, and reports per-layer
-// metrics instead of the end-to-end ones.
+// With --trace 1 the same run records spans around every call into the
+// engine's layers in every other cycle, measures single-layer costs, and
+// reports per-layer metrics instead of the end-to-end ones; the gap
+// between its traced and untraced cycles is the tracing overhead.
 //
 // The last stdout line is one JSON object:
 //   {"correct": ..., "attempted": ..., "failed": ..., "metrics": {...}}
@@ -49,6 +52,7 @@
 #include <memory>
 #include <optional>
 #include <span>
+#include <sstream>
 #include <string>
 #include <thread>
 #include <utility>
@@ -173,10 +177,15 @@ constexpr uint32_t kLookupBatch = 256;     // point lookups timed together
 // every metric samples the whole run rather than one stretch of host load.
 constexpr int kCycles = 6;
 constexpr double kSettleShare = 0.1;  // of each open-loop slice, unrecorded
+// End-to-end metrics use the cycles that lost at most this share of their
+// time to the hypervisor, or the calmer half when fewer are that calm.
+constexpr double kCalmSteal = 0.02;
 constexpr uint32_t kTopK = 100;
 constexpr uint32_t kHotIds = 64;           // burst_cancel like/unlike ids
-constexpr int kSetupReps = 5;
-constexpr int kSetupMaxReps = 200;
+// Restarts after each cycle: at least one, and more while they take less
+// than kSetupBudgetNs / kCycles, so a 6 ms restart (m = 2^16) is a median
+// of ~150 samples and a 0.4 s one (m = 2^22) of 7.
+constexpr int kSetupMaxRepsPerCycle = 32;
 constexpr uint64_t kSetupBudgetNs = 1'000'000'000;
 
 struct Args {
@@ -387,6 +396,9 @@ class SpanLog {
     if (on_) spans_.reserve(1u << 20);
   }
 
+  /// Traced runs record spans in every other cycle only.
+  void set_on(bool on) { on_ = on; }
+
   int32_t Begin(SpanName name, int32_t parent, uint32_t round) {
     if (!on_ || spans_.size() >= kMaxSpans) return -1;
     spans_.push_back(Span{name, parent, round, NowNs(), 0});
@@ -454,6 +466,25 @@ uint64_t ProcBytes(const char* path, const char* key) {
   return 0;
 }
 
+/// Time the hypervisor ran something else on each online vCPU, in ms since
+/// boot (the "steal" column of /proc/stat): host noise made visible.
+std::vector<double> StealMs() {
+  std::ifstream in("/proc/stat");
+  std::string line;
+  std::vector<double> out;
+  const double ms_per_tick = 1000.0 / static_cast<double>(sysconf(_SC_CLK_TCK));
+  while (std::getline(in, line)) {
+    if (line.rfind("cpu", 0) != 0 || line.size() < 4 || line[3] == ' ') continue;
+    std::istringstream fields(line);
+    std::string cpu;
+    uint64_t v[8] = {};
+    fields >> cpu;
+    for (uint64_t& x : v) fields >> x;
+    out.push_back(static_cast<double>(v[7]) * ms_per_tick);
+  }
+  return out;
+}
+
 /// Resets the peak-RSS high-water mark; false when the kernel refuses.
 bool ResetPeakRss() {
   std::ofstream out("/proc/self/clear_refs");
@@ -469,39 +500,93 @@ bool ResetPeakRss() {
 struct Counters {
   double drained = 0, batches = 0, parks = 0, wakes = 0, publishes = 0;
   double push_wait_ns = 0, full_rejections = 0, retries = 0, cow_faults = 0;
+  double depth_highwater = 0;  // a process-wide high-water mark, not a count
+
+  /// Adds what changed from a to b; the high-water mark is b's.
+  void AddDelta(const Counters& a, const Counters& b) {
+    drained += b.drained - a.drained;
+    batches += b.batches - a.batches;
+    parks += b.parks - a.parks;
+    wakes += b.wakes - a.wakes;
+    publishes += b.publishes - a.publishes;
+    push_wait_ns += b.push_wait_ns - a.push_wait_ns;
+    full_rejections += b.full_rejections - a.full_rejections;
+    retries += b.retries - a.retries;
+    cow_faults += b.cow_faults - a.cow_faults;
+    depth_highwater = std::max(depth_highwater, b.depth_highwater);
+  }
 };
 
 Counters ReadCounters(const ShardedProfiler& engine) {
   const sprofile::obs::MetricsSnapshot snap =
       sprofile::obs::Registry::Global().Snapshot();
-  auto count = [&](const char* name) {
-    const sprofile::obs::MetricSample* s = snap.Find(name);
-    return s == nullptr ? 0.0 : static_cast<double>(s->count);
-  };
-  auto value = [&](const char* name) {
-    const sprofile::obs::MetricSample* s = snap.Find(name);
-    return s == nullptr ? 0.0 : static_cast<double>(s->value);
+  using Sample = sprofile::obs::MetricSample;
+  auto field = [&]<typename T>(const char* name, T Sample::*f) {
+    const Sample* s = snap.Find(name);
+    return s == nullptr ? 0.0 : static_cast<double>(s->*f);
   };
   Counters c;
-  c.drained = count("sprofile_engine_events_drained");
-  c.batches = count("sprofile_engine_drain_batches");
-  c.parks = count("sprofile_engine_parks");
-  c.wakes = count("sprofile_engine_wakes");
-  c.publishes = count("sprofile_engine_publishes");
-  const sprofile::obs::MetricSample* wait =
-      snap.Find("sprofile_engine_ring_push_wait_ns");
-  c.push_wait_ns = wait == nullptr ? 0.0 : static_cast<double>(wait->sum);
-  c.full_rejections = value("sprofile_engine_ring_full_rejections");
-  c.retries = value("sprofile_engine_ring_enqueue_retries");
+  c.drained = field("sprofile_engine_events_drained", &Sample::count);
+  c.batches = field("sprofile_engine_drain_batches", &Sample::count);
+  c.parks = field("sprofile_engine_parks", &Sample::count);
+  c.wakes = field("sprofile_engine_wakes", &Sample::count);
+  c.publishes = field("sprofile_engine_publishes", &Sample::count);
+  c.push_wait_ns = field("sprofile_engine_ring_push_wait_ns", &Sample::sum);
+  c.full_rejections = field("sprofile_engine_ring_full_rejections", &Sample::value);
+  c.retries = field("sprofile_engine_ring_enqueue_retries", &Sample::value);
+  c.depth_highwater = field("sprofile_engine_ring_depth_highwater", &Sample::value);
   c.cow_faults = static_cast<double>(engine.MemoryStats().totals.cow_faults);
   return c;
 }
 
-double RegistryValue(const char* name) {
-  const sprofile::obs::MetricsSnapshot snap =
-      sprofile::obs::Registry::Global().Snapshot();
-  const sprofile::obs::MetricSample* s = snap.Find(name);
-  return s == nullptr ? 0.0 : static_cast<double>(s->value);
+/// The file SaveAll wrote for shard s under dir ("shard-<s>.g<gen>.sppf").
+std::string ShardFile(const std::string& dir, uint32_t s) {
+  const std::string prefix = "shard-" + std::to_string(s) + ".";
+  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
+    if (entry.path().filename().string().rfind(prefix, 0) == 0) {
+      return entry.path().string();
+    }
+  }
+  std::fprintf(stderr, "engine_bench: no %s* file under %s\n", prefix.c_str(), dir.c_str());
+  std::exit(2);
+}
+
+// ---------------------------------------------------------------------------
+// Cycles. What one cycle times (open loop, closed loop, restarts) is kept
+// apart, with the share of the cycle the hypervisor took from the guest,
+// so the end-to-end metrics can be taken over the cycles the host left
+// alone: a vCPU descheduled for milliseconds stalls the whole pipeline,
+// and that measures the host, not the engine.
+// ---------------------------------------------------------------------------
+
+struct Cycle {
+  bool traced = false;     // spans recorded (traced runs, odd cycles)
+  double steal_share = 0;  // the most any vCPU lost to the host / cycle time
+  std::vector<double> setup_s, segment_eps, visible_us, producer_late_us;
+  std::vector<double> topk_us, median_us, point_ns, fresh_us, mode_us, reader_late_us;
+};
+
+using Series = std::vector<double> Cycle::*;
+
+/// One series' samples over the given cycles.
+std::vector<double> Pool(const std::vector<const Cycle*>& cycles, Series series) {
+  std::vector<double> out;
+  for (const Cycle* c : cycles) out.insert(out.end(), (c->*series).begin(), (c->*series).end());
+  return out;
+}
+
+/// The cycles that lost at most kCalmSteal of their time to the host, and
+/// at least the calmer half of all cycles.
+std::vector<const Cycle*> CalmCycles(const std::vector<Cycle>& cycles) {
+  std::vector<double> shares;
+  for (const Cycle& c : cycles) shares.push_back(c.steal_share);
+  std::sort(shares.begin(), shares.end());
+  const double limit = std::max(kCalmSteal, shares[(shares.size() - 1) / 2]);
+  std::vector<const Cycle*> out;
+  for (const Cycle& c : cycles) {
+    if (c.steal_share <= limit) out.push_back(&c);
+  }
+  return out;
 }
 
 // ---------------------------------------------------------------------------
@@ -540,8 +625,13 @@ class Bench {
   /// Pushes events [pos_, pos_ + n) in chunks; counts shed events.
   void Push(uint64_t n, uint32_t chunk, uint32_t round);
   void WriteSnapshot();
-  void Setup();
-  void ClosedLoop(uint64_t events, std::vector<double>* segment_eps);
+  /// One timed engine::LoadAll of the starting snapshot: a setup_s sample.
+  ShardedProfiler Restart();
+  /// Timed restarts on the side while the engine under load is idle: at
+  /// least one, more while they fit in budget_ns. Each is destroyed at once.
+  void SideRestarts(uint64_t budget_ns);
+  /// Pushes a fixed number of events; record: keep the segment rates.
+  void ClosedLoop(uint64_t events, bool record);
   void OpenLoop(double seconds);
   void Reader(uint64_t start_ns, uint64_t record_ns, uint64_t end_ns);
   void FinalChecks();
@@ -553,6 +643,7 @@ class Bench {
   const Args args_;
   const Scale scale_;
   std::string snapshot_dir_;
+  std::vector<std::string> shard_files_;  // under snapshot_dir_
   std::unique_ptr<Inputs> in_;
   std::unique_ptr<Oracle> oracle_;
   std::optional<ShardedProfiler> engine_;
@@ -567,15 +658,14 @@ class Bench {
   SpanLog reader_log_;
 
   // Results.
-  std::vector<double> setup_s_, segment_eps_, traced_segment_eps_;
-  std::vector<double> visible_us_, producer_late_us_;
-  std::vector<double> topk_us_, median_us_, point_ns_, fresh_us_, mode_us_;
-  std::vector<double> reader_late_us_, merge_self_us_;
+  std::vector<Cycle> cycles_ = std::vector<Cycle>(kCycles);
+  Cycle* cur_ = &cycles_[0];  // the cycle being run
   std::vector<double> load_profile_ms_, engine_build_ms_;
   double snapshot_mb_ = 0;
   // Layer probes (traced runs).
   double core_apply_ns_ = 0, core_topk_us_ = 0, core_median_us_ = 0;
   double core_point_ns_ = 0, cow_snapshot_us_ = 0, core_groups_ = 0;
+  double merge_self_us_ = 0, merge_snapshot_all_us_ = 0;
 };
 
 void Bench::Push(uint64_t n, uint32_t chunk, uint32_t round) {
@@ -612,51 +702,51 @@ void Bench::WriteSnapshot() {
     std::exit(2);
   }
   uint64_t bytes = 0;
-  for (const auto& entry : std::filesystem::directory_iterator(snapshot_dir_)) {
-    if (entry.path().extension() == ".sppf") bytes += entry.file_size();
+  for (uint32_t s = 0; s < kShards; ++s) {
+    shard_files_.push_back(ShardFile(snapshot_dir_, s));
+    bytes += std::filesystem::file_size(shard_files_.back());
   }
   snapshot_mb_ = static_cast<double>(bytes) / (1 << 20);
 }
 
-void Bench::Setup() {
-  // At least kSetupReps restarts and at least kSetupBudgetNs of them, so a
-  // 6 ms restart (m = 2^16) is a median of ~100 samples, not of 5.
-  const uint64_t t_begin = NowNs();
-  for (int rep = 0; rep < kSetupReps || (NowNs() - t_begin < kSetupBudgetNs &&
-                                         rep < kSetupMaxReps);
-       ++rep) {
-    engine_.reset();
-    if (args_.trace) {
-      // snapshot_io: LoadAll's two parts timed apart, on the same files:
-      // LoadProfile of every shard file, then the engine built over them.
-      std::vector<sprofile::adapters::SProfile> backends;
-      const uint64_t t0 = NowNs();
-      for (uint32_t s = 0; s < kShards; ++s) {
-        // WriteSnapshot saved into an empty directory: generation 1.
-        auto p = sprofile::LoadProfile(snapshot_dir_ + "/shard-" + std::to_string(s) + ".g1.sppf");
-        if (!p.ok()) std::exit(2);
-        backends.emplace_back(std::move(p).value());
-      }
-      const uint64_t t1 = NowNs();
-      { ShardedProfiler built(std::move(backends), scale_.m, Options()); }
-      const uint64_t t2 = NowNs();
-      load_profile_ms_.push_back(static_cast<double>(t1 - t0) * 1e-6);
-      engine_build_ms_.push_back(static_cast<double>(t2 - t1) * 1e-6);
-    }
+ShardedProfiler Bench::Restart() {
+  if (args_.trace) {
+    // snapshot_io: LoadAll's two parts timed apart, on the same files:
+    // LoadProfile of every shard file, then the engine built over them.
+    std::vector<sprofile::adapters::SProfile> backends;
     const uint64_t t0 = NowNs();
-    auto loaded = sprofile::engine::LoadAll(snapshot_dir_, Options());
-    const uint64_t t1 = NowNs();
-    if (!loaded.ok()) {
-      std::fprintf(stderr, "engine_bench: LoadAll failed: %s\n",
-                   loaded.status().ToString().c_str());
-      std::exit(2);
+    for (const std::string& file : shard_files_) {
+      auto p = sprofile::LoadProfile(file);
+      if (!p.ok()) std::exit(2);
+      backends.emplace_back(std::move(p).value());
     }
-    engine_.emplace(std::move(loaded).value());
-    setup_s_.push_back(static_cast<double>(t1 - t0) * 1e-9);
+    const uint64_t t1 = NowNs();
+    { ShardedProfiler built(std::move(backends), scale_.m, Options()); }
+    const uint64_t t2 = NowNs();
+    load_profile_ms_.push_back(static_cast<double>(t1 - t0) * 1e-6);
+    engine_build_ms_.push_back(static_cast<double>(t2 - t1) * 1e-6);
+  }
+  const uint64_t t0 = NowNs();
+  auto loaded = sprofile::engine::LoadAll(snapshot_dir_, Options());
+  const uint64_t t1 = NowNs();
+  if (!loaded.ok()) {
+    std::fprintf(stderr, "engine_bench: LoadAll failed: %s\n",
+                 loaded.status().ToString().c_str());
+    std::exit(2);
+  }
+  cur_->setup_s.push_back(static_cast<double>(t1 - t0) * 1e-9);
+  return std::move(loaded).value();
+}
+
+void Bench::SideRestarts(uint64_t budget_ns) {
+  const uint64_t t_begin = NowNs();
+  for (int rep = 0; rep < kSetupMaxRepsPerCycle; ++rep) {
+    Restart();
+    if (NowNs() - t_begin >= budget_ns) break;
   }
 }
 
-void Bench::ClosedLoop(uint64_t events, std::vector<double>* segment_eps) {
+void Bench::ClosedLoop(uint64_t events, bool record) {
   // Segments of fixed size, timed at the producer. The ring holds a few
   // tens of thousands of events, far less than a segment, so the push rate
   // over a segment is the apply rate to within a fraction of a percent.
@@ -667,8 +757,8 @@ void Bench::ClosedLoop(uint64_t events, std::vector<double>* segment_eps) {
     const uint64_t t1 = NowNs();
     // The first segment of a slice still pays for the open loop's last
     // publish (every page shared): a transition, so it is not recorded.
-    if (segment_eps != nullptr && pushed > 0) {
-      segment_eps->push_back(static_cast<double>(scale_.segment_events) /
+    if (record && pushed > 0) {
+      cur_->segment_eps.push_back(static_cast<double>(scale_.segment_events) /
                              (static_cast<double>(t1 - t0) * 1e-9));
     }
   }
@@ -689,7 +779,7 @@ void Bench::Reader(uint64_t start_ns, uint64_t record_ns, uint64_t end_ns) {
     if (due >= end_ns) break;
     SleepUntil(due);
     const bool record = due >= record_ns;
-    if (record) reader_late_us_.push_back(static_cast<double>(NowNs() - due) * 1e-3);
+    if (record) cur_->reader_late_us.push_back(static_cast<double>(NowNs() - due) * 1e-3);
     reader_ops_ += kLookupBatch + 3;
     Scoped round(log, kSpanRound, -1, r);
     // Runs one timed call under a span; keeps the sample once settled.
@@ -697,7 +787,7 @@ void Bench::Reader(uint64_t start_ns, uint64_t record_ns, uint64_t end_ns) {
       Scoped span(log, name, round.idx(), r);
       const uint64_t t0 = NowNs();
       call();
-      if (record && out != nullptr) {
+      if (record) {
         out->push_back(static_cast<double>(NowNs() - t0) * per);
       }
     };
@@ -705,36 +795,18 @@ void Bench::Reader(uint64_t start_ns, uint64_t record_ns, uint64_t end_ns) {
     // period after the producer's due times: it always finds the same
     // amount of pending work, instead of racing the producer's push.
     if (r % w_.reader_flush_every == w_.reader_flush_every / 2) {
-      timed(kSpanFreshFlush, &fresh_us_, 1e-3, [&] { engine_->Flush(); });
+      timed(kSpanFreshFlush, &cur_->fresh_us, 1e-3, [&] { engine_->Flush(); });
       ++reader_ops_;
     }
-    timed(kSpanPointBatch, &point_ns_, 1.0 / kLookupBatch, [&] {
+    timed(kSpanPointBatch, &cur_->point_ns, 1.0 / kLookupBatch, [&] {
       for (uint32_t i = 0; i < kLookupBatch; ++i) {
         sink += engine_->Frequency(ids[(size_t{r} * kLookupBatch + i) & mask]);
       }
     });
-    timed(kSpanMergedMode, &mode_us_, 1e-3,
+    timed(kSpanMergedMode, &cur_->mode_us, 1e-3,
           [&] { sink += engine_->MergedMode().frequency; });
-    timed(kSpanTopK, &topk_us_, 1e-3, [&] { sink += engine_->TopK(kTopK).front(); });
-    timed(kSpanMedian, &median_us_, 1e-3, [&] { sink += engine_->Median(); });
-    if (args_.trace) {
-      // merge.self_us: the merged Histogram() minus the per-shard
-      // Histogram() calls it is built from, re-timed on one snapshot set.
-      std::vector<double> merged, shards;
-      timed(kSpanMergedHistogram, &merged, 1e-3,
-            [&] { sink += static_cast<int64_t>(engine_->Histogram().size()); });
-      std::vector<std::shared_ptr<const ShardedProfiler::Snapshot>> snaps;
-      timed(kSpanSnapshotAll, nullptr, 0, [&] { snaps = engine_->SnapshotAll(); });
-      for (const auto& snap : snaps) {
-        timed(kSpanShardHistogram, &shards, 1e-3,
-              [&] { sink += static_cast<int64_t>(snap->profile.Histogram().size()); });
-      }
-      if (record) {
-        double self = merged.front();
-        for (double us : shards) self -= us;
-        merge_self_us_.push_back(self);
-      }
-    }
+    timed(kSpanTopK, &cur_->topk_us, 1e-3, [&] { sink += engine_->TopK(kTopK).front(); });
+    timed(kSpanMedian, &cur_->median_us, 1e-3, [&] { sink += engine_->Median(); });
   }
   g_sink.fetch_add(sink, std::memory_order_relaxed);
 }
@@ -754,7 +826,7 @@ void Bench::OpenLoop(double seconds) {
     if (due >= end) break;
     SleepUntil(due);
     if (due >= record) {
-      producer_late_us_.push_back(static_cast<double>(NowNs() - due) * 1e-3);
+      cur_->producer_late_us.push_back(static_cast<double>(NowNs() - due) * 1e-3);
     }
     const uint64_t from = pos_;
     Push(w_.burst_events, w_.chunk_events, k);
@@ -764,7 +836,9 @@ void Bench::OpenLoop(double seconds) {
       Scoped span(producer_log_, kSpanBurstFlush, -1, k);
       engine_->Flush();
     }
-    if (due >= record) visible_us_.push_back(static_cast<double>(NowNs() - due) * 1e-3);
+    if (due >= record) {
+      cur_->visible_us.push_back(static_cast<double>(NowNs() - due) * 1e-3);
+    }
     ++attempted_;
     if (w_.check_each_burst) {
       // The producer is the only writer, so after its Flush the engine
@@ -848,8 +922,39 @@ void Bench::FinalChecks() {
 }
 
 void Bench::LayerProbes() {
-  // Single-layer costs, each on its own data so no engine thread competes.
-  const std::string dir = snapshot_dir_;
+  // Single-layer costs, each on its own data or on the idle engine, so no
+  // reader round carries them and no engine thread competes.
+  //
+  // merge: the merged Histogram() minus the per-shard Histogram() calls it
+  // is built from, and SnapshotAll(), on the drained engine's snapshots.
+  {
+    reader_log_.set_on(true);
+    int64_t sink = 0;
+    auto span_ns = [&](SpanName name, uint32_t round, auto&& call) {
+      Scoped span(reader_log_, name, -1, round);
+      const uint64_t t0 = NowNs();
+      call();
+      return static_cast<double>(NowNs() - t0);
+    };
+    std::vector<double> self_us, snapshot_all_us;
+    for (uint32_t i = 0; i < 64; ++i) {
+      double self_ns = span_ns(kSpanMergedHistogram, i, [&] {
+        sink += static_cast<int64_t>(engine_->Histogram().size());
+      });
+      std::vector<std::shared_ptr<const ShardedProfiler::Snapshot>> snaps;
+      snapshot_all_us.push_back(
+          span_ns(kSpanSnapshotAll, i, [&] { snaps = engine_->SnapshotAll(); }) * 1e-3);
+      for (const auto& snap : snaps) {
+        self_ns -= span_ns(kSpanShardHistogram, i, [&] {
+          sink += static_cast<int64_t>(snap->profile.Histogram().size());
+        });
+      }
+      self_us.push_back(self_ns * 1e-3);
+    }
+    merge_self_us_ = Median(self_us);
+    merge_snapshot_all_us_ = Median(snapshot_all_us);
+    g_sink.fetch_add(sink, std::memory_order_relaxed);
+  }
   // core: single-thread replay of shard 0's local events in 1024-event
   // batches, on shard 0's starting profile.
   std::vector<Event> local;
@@ -857,12 +962,7 @@ void Bench::LayerProbes() {
     if (e.id % kShards == 0) local.push_back(Event{e.id / kShards, e.delta});
   }
   local.resize(local.size() / kClosedChunk * kClosedChunk);
-  std::string shard0;
-  for (const auto& entry : std::filesystem::directory_iterator(dir)) {
-    const std::string name = entry.path().filename().string();
-    if (name.rfind("shard-0.", 0) == 0) shard0 = entry.path().string();
-  }
-  auto loaded = sprofile::LoadProfile(shard0);
+  auto loaded = sprofile::LoadProfile(shard_files_[0]);
   if (!loaded.ok()) std::exit(2);
   FrequencyProfile profile = std::move(loaded).value();
   {
@@ -985,11 +1085,20 @@ int Bench::Run() {
 
   // Memory: the peak RSS growth from here on is the engine's (plus the
   // transient buffers LoadAll and the threads need), not the harness's.
-  const bool peak_reset = ResetPeakRss();
+  // Without a reset the high-water mark would still hold the input
+  // buffers, so mem_mb would be wrong: no result then.
+  if (!ResetPeakRss()) {
+    std::fprintf(stderr, "engine_bench: /proc/self/clear_refs refused the peak-RSS reset\n");
+    std::exit(2);
+  }
   const uint64_t rss_base = ProcBytes("/proc/self/status", "VmRSS:");
-
-  Setup();
-  ClosedLoop(scale_.warmup_events, nullptr);
+  uint64_t peak_rss = 0;
+  // Cycle 0 also holds the first restart (the engine the run drives) and
+  // the warm-up, so its steal window starts here.
+  std::vector<double> steal_from = StealMs();
+  uint64_t cycle_t0 = NowNs();
+  engine_.emplace(Restart());
+  ClosedLoop(scale_.warmup_events, false);
 
   // Closed-loop slices push a fixed number of events, sized so the closed
   // loop takes about closed_share of --seconds at the nominal rate. A fixed
@@ -1003,27 +1112,42 @@ int Bench::Run() {
                                              w_.nominal_eps * seconds * w_.closed_share /
                                              kCycles / scale_.segment_events)) *
                        scale_.segment_events;
-  const Counters window_start = ReadCounters(*engine_);
-  const uint64_t window_t0 = NowNs();
   uint64_t closed_ns = 0, closed_total = 0;
-  for (int cycle = 0; cycle < kCycles; ++cycle) {
+  Counters window;  // engine counters over the open- and closed-loop slices
+  uint64_t window_ns = 0;
+  for (int c = 0; c < kCycles; ++c) {
+    cur_ = &cycles_[static_cast<size_t>(c)];
+    // Traced runs record spans in odd cycles only: the gap between the
+    // timings of traced and untraced cycles is the tracing overhead.
+    cur_->traced = args_.trace && c % 2 == 1;
+    producer_log_.set_on(cur_->traced);
+    reader_log_.set_on(cur_->traced);
+    const Counters before = ReadCounters(*engine_);
+    const uint64_t w0 = NowNs();
     OpenLoop(open_s);
-    // Traced runs alternate untraced and traced closed-loop slices: the gap
-    // between their segment medians is the tracing overhead.
-    const bool traced_slice = args_.trace && cycle % 2 == 1;
-    SpanLog off(false);
-    if (args_.trace && !traced_slice) std::swap(producer_log_, off);
     const uint64_t t0 = NowNs();
-    ClosedLoop(closed_events, traced_slice ? &traced_segment_eps_ : &segment_eps_);
+    ClosedLoop(closed_events, true);
     closed_ns += NowNs() - t0;
+    window_ns += NowNs() - w0;
     closed_total += closed_events;
-    if (args_.trace && !traced_slice) std::swap(producer_log_, off);
+    window.AddDelta(before, ReadCounters(*engine_));
+    // Restarts are spread over the run, like every other sample, instead
+    // of taken in one block. The peak RSS is read before them and reset
+    // after them, so the side engines do not count as the engine's memory.
+    peak_rss = std::max(peak_rss, ProcBytes("/proc/self/status", "VmHWM:"));
+    SideRestarts(kSetupBudgetNs / kCycles);
+    ResetPeakRss();
+    const std::vector<double> steal_to = StealMs();
+    const double cycle_ms = static_cast<double>(NowNs() - cycle_t0) * 1e-6;
+    for (size_t i = 0; i < steal_to.size() && i < steal_from.size(); ++i) {
+      cur_->steal_share = std::max(cur_->steal_share, (steal_to[i] - steal_from[i]) / cycle_ms);
+    }
+    steal_from = steal_to;
+    cycle_t0 = NowNs();
   }
   const double window_eps =
       static_cast<double>(closed_total) / (static_cast<double>(closed_ns) * 1e-9);
-  const Counters window_end = ReadCounters(*engine_);
-  const double window_s = static_cast<double>(NowNs() - window_t0) * 1e-9;
-  const uint64_t peak_rss = ProcBytes("/proc/self/status", "VmHWM:");
+  const double window_s = static_cast<double>(window_ns) * 1e-9;
   const double mem_mb =
       static_cast<double>(peak_rss - std::min(rss_base, peak_rss)) / (1 << 20);
   const sprofile::engine::EngineMemoryStats mem = engine_->MemoryStats();
@@ -1034,6 +1158,12 @@ int Bench::Run() {
   if (args_.trace) LayerProbes();
 
   // ---- Report.
+  std::vector<const Cycle*> all, traced, untraced;
+  for (const Cycle& c : cycles_) {
+    all.push_back(&c);
+    (c.traced ? traced : untraced).push_back(&c);
+  }
+  const std::vector<const Cycle*> calm = CalmCycles(cycles_);
   auto line = [](const char* name, double v, const char* unit, size_t n) {
     std::printf("# %-26s %14.4f %-6s n=%zu\n", name, v, unit, n);
   };
@@ -1042,49 +1172,59 @@ int Bench::Run() {
               static_cast<double>(t_inputs - t_start) * 1e-9, kCycles, open_s, closed_events,
               static_cast<double>(closed_ns) * 1e-9,
               static_cast<double>(NowNs() - t_start) * 1e-9);
+  std::printf("# host steal per cycle (the most-stolen vCPU's share):");
+  for (const Cycle& c : cycles_) std::printf(" %.1f%%", c.steal_share * 100);
+  std::printf("; end-to-end metrics from %zu cycles (those at most %.0f%%, or the calmer half)\n",
+              calm.size(), kCalmSteal * 100);
+  const std::vector<double> producer_late = Pool(all, &Cycle::producer_late_us);
+  const std::vector<double> reader_late = Pool(all, &Cycle::reader_late_us);
   std::printf("# generator lateness: producer p50 %.1f us p99 %.1f us max %.1f us (n=%zu); "
               "reader p50 %.1f us p99 %.1f us max %.1f us (n=%zu)\n",
-              Median(producer_late_us_), Percentile(producer_late_us_, 0.99),
-              Percentile(producer_late_us_, 1.0), producer_late_us_.size(),
-              Median(reader_late_us_), Percentile(reader_late_us_, 0.99),
-              Percentile(reader_late_us_, 1.0), reader_late_us_.size());
+              Median(producer_late), Percentile(producer_late, 0.99),
+              Percentile(producer_late, 1.0), producer_late.size(), Median(reader_late),
+              Percentile(reader_late, 0.99), Percentile(reader_late, 1.0), reader_late.size());
+  const std::vector<double> setup_s = Pool(calm, &Cycle::setup_s);
+  const std::vector<double> segment_eps = Pool(calm, &Cycle::segment_eps);
+  const std::vector<double> visible_us = Pool(calm, &Cycle::visible_us);
+  const std::vector<double> fresh_us = Pool(calm, &Cycle::fresh_us);
+  const std::vector<double> topk_us = Pool(calm, &Cycle::topk_us);
+  const std::vector<double> median_us = Pool(calm, &Cycle::median_us);
+  const std::vector<double> point_ns = Pool(calm, &Cycle::point_ns);
   std::printf("# diagnostics: visible_us p90 %.1f p99 %.1f (n=%zu), fresh_us p90 %.1f p99 %.1f "
               "(n=%zu), topk_us_p99 %.1f (n=%zu), mode_us_p50 %.2f, window_eps %.4g, shed %" PRIu64
-              ", peak-RSS reset %s\n",
-              Percentile(visible_us_, 0.9), Percentile(visible_us_, 0.99), visible_us_.size(),
-              Percentile(fresh_us_, 0.9), Percentile(fresh_us_, 0.99), fresh_us_.size(),
-              Percentile(topk_us_, 0.99), topk_us_.size(), Median(mode_us_),
-              window_eps, shed, peak_reset ? "ok" : "refused");
+              ", setup_s min %.4g max %.4g (n=%zu)\n",
+              Percentile(visible_us, 0.9), Percentile(visible_us, 0.99), visible_us.size(),
+              Percentile(fresh_us, 0.9), Percentile(fresh_us, 0.99), fresh_us.size(),
+              Percentile(topk_us, 0.99), topk_us.size(), Median(Pool(calm, &Cycle::mode_us)),
+              window_eps, shed, Percentile(setup_s, 0.0), Percentile(setup_s, 1.0),
+              setup_s.size());
   std::printf("# engine over the measured cycles: cow_faults %.0f, publishes %.0f, parks %.0f, "
               "wakes %.0f; AnonHugePages %.0f MB\n",
-              window_end.cow_faults - window_start.cow_faults,
-              window_end.publishes - window_start.publishes,
-              window_end.parks - window_start.parks, window_end.wakes - window_start.wakes,
+              window.cow_faults, window.publishes, window.parks, window.wakes,
               static_cast<double>(ProcBytes("/proc/self/smaps_rollup", "AnonHugePages:")) / (1 << 20));
   std::printf("# ingest segments (eps): min %.4g p10 %.4g p50 %.4g p90 %.4g max %.4g\n",
-              Percentile(segment_eps_, 0.0), Percentile(segment_eps_, 0.1),
-              Median(segment_eps_), Percentile(segment_eps_, 0.9),
-              Percentile(segment_eps_, 1.0));
+              Percentile(segment_eps, 0.0), Percentile(segment_eps, 0.1), Median(segment_eps),
+              Percentile(segment_eps, 0.9), Percentile(segment_eps, 1.0));
 
   std::vector<Metric> metrics;
   if (!args_.trace) {
     metrics = {
-        {"setup_s", Median(setup_s_), "s"},
-        {"ingest_eps", Median(segment_eps_), "1/s"},
-        {"topk_us_p50", Median(topk_us_), "us"},
-        {"topk_us_p90", Percentile(topk_us_, 0.9), "us"},
-        {"median_us_p50", Median(median_us_), "us"},
-        {"point_ns_p50", Median(point_ns_), "ns"},
-        {"fresh_us_p50", Median(fresh_us_), "us"},
-        {"fresh_us_p75", Percentile(fresh_us_, 0.75), "us"},
-        {"visible_us_p50", Median(visible_us_), "us"},
-        {"visible_us_p75", Percentile(visible_us_, 0.75), "us"},
+        {"setup_s", Median(setup_s), "s"},
+        {"ingest_eps", Median(segment_eps), "1/s"},
+        {"topk_us_p50", Median(topk_us), "us"},
+        {"topk_us_p90", Percentile(topk_us, 0.9), "us"},
+        {"median_us_p50", Median(median_us), "us"},
+        {"point_ns_p50", Median(point_ns), "ns"},
+        {"fresh_us_p50", Median(fresh_us), "us"},
+        {"fresh_us_p75", Percentile(fresh_us, 0.75), "us"},
+        {"visible_us_p50", Median(visible_us), "us"},
+        {"visible_us_p75", Percentile(visible_us, 0.75), "us"},
         {"mem_mb", mem_mb, "MB"},
     };
-    const size_t counts[] = {setup_s_.size(), segment_eps_.size(), topk_us_.size(),
-                             topk_us_.size(), median_us_.size(), point_ns_.size(),
-                             fresh_us_.size(), fresh_us_.size(), visible_us_.size(),
-                             visible_us_.size(), 1};
+    const size_t counts[] = {setup_s.size(), segment_eps.size(), topk_us.size(),
+                             topk_us.size(), median_us.size(), point_ns.size(),
+                             fresh_us.size(), fresh_us.size(), visible_us.size(),
+                             visible_us.size(), 1};
     for (size_t i = 0; i < metrics.size(); ++i) {
       line(metrics[i].name.c_str(), metrics[i].value, metrics[i].unit.c_str(), counts[i]);
     }
@@ -1097,20 +1237,16 @@ int Bench::Run() {
       if (s.name == kSpanApplyBatch) push_us.push_back(us);
       if (s.name == kSpanBurstFlush) flush_us.push_back(us);
     }
-    std::vector<double> snapshot_all_us;
-    for (const Span& s : reader_log_.spans()) {
-      if (s.name == kSpanSnapshotAll) {
-        snapshot_all_us.push_back(static_cast<double>(s.end_ns - s.start_ns) * 1e-3);
-      }
-    }
     std::vector<double> pauses_us;
     for (uint64_t p : pauses_ns) pauses_us.push_back(static_cast<double>(p) * 1e-3);
-    const Counters& a = window_start;
-    const Counters& b = window_end;
-    const double mevents = std::max(1.0, (b.drained - a.drained) * 1e-6);
-    const double publishes = b.publishes - a.publishes;
-    const double untraced = Median(segment_eps_);
-    const double traced = Median(traced_segment_eps_);
+    const Counters& c = window;
+    const double mevents = std::max(1.0, c.drained * 1e-6);
+    // Tracing overhead: traced against untraced cycles of this run, on the
+    // closed-loop rate and on the open loop's burst latency.
+    const double eps_off = Median(Pool(untraced, &Cycle::segment_eps));
+    const double eps_on = Median(Pool(traced, &Cycle::segment_eps));
+    const double vis_off = Median(Pool(untraced, &Cycle::visible_us));
+    const double vis_on = Median(Pool(traced, &Cycle::visible_us));
     auto self = [&](const char* layer) {
       const auto it = self_ms.find(layer);
       return it == self_ms.end() ? 0.0 : it->second;
@@ -1123,36 +1259,32 @@ int Bench::Run() {
         {"core.point_ns", core_point_ns_, "ns"},
         {"core.self_ms", self("core"), "ms"},
         {"cow.snapshot_us", cow_snapshot_us_, "us"},
-        {"cow.faults_per_publish",
-         publishes > 0 ? (b.cow_faults - a.cow_faults) / publishes : 0.0, "count"},
+        {"cow.faults_per_publish", c.publishes > 0 ? c.cow_faults / c.publishes : 0.0, "count"},
         {"cow.page_mb", static_cast<double>(mem.totals.page_bytes_live) / (1 << 20), "MB"},
-        {"ring.full_rejections_per_mevent", (b.full_rejections - a.full_rejections) / mevents,
-         "count"},
-        {"ring.retries_per_mevent", (b.retries - a.retries) / mevents, "count"},
-        {"ring.depth_highwater", RegistryValue("sprofile_engine_ring_depth_highwater"),
-         "events"},
+        {"ring.full_rejections_per_mevent", c.full_rejections / mevents, "count"},
+        {"ring.retries_per_mevent", c.retries / mevents, "count"},
+        {"ring.depth_highwater", c.depth_highwater, "events"},
         {"shard.push_us_p50", Median(push_us), "us"},
         {"shard.push_us_p90", Percentile(push_us, 0.9), "us"},
         {"shard.flush_us_p50", Median(flush_us), "us"},
-        {"shard.parks_per_mevent", (b.parks - a.parks) / mevents, "count"},
-        {"shard.wakes_per_mevent", (b.wakes - a.wakes) / mevents, "count"},
-        {"shard.events_per_drain",
-         b.batches > a.batches ? (b.drained - a.drained) / (b.batches - a.batches) : 0.0,
-         "events"},
-        {"shard.push_wait_ms", (b.push_wait_ns - a.push_wait_ns) * 1e-6, "ms"},
+        {"shard.parks_per_mevent", c.parks / mevents, "count"},
+        {"shard.wakes_per_mevent", c.wakes / mevents, "count"},
+        {"shard.events_per_drain", c.batches > 0 ? c.drained / c.batches : 0.0, "events"},
+        {"shard.push_wait_ms", c.push_wait_ns * 1e-6, "ms"},
         {"shard.publish_pause_us_p50", Median(pauses_us), "us"},
         {"shard.publish_pause_us_p99", Percentile(pauses_us, 0.99), "us"},
-        {"shard.publishes_per_s", publishes / window_s, "1/s"},
+        {"shard.publishes_per_s", c.publishes / window_s, "1/s"},
         {"shard.self_ms", self("shard"), "ms"},
-        {"merge.snapshot_all_us", Median(snapshot_all_us), "us"},
-        {"merge.self_us", Median(merge_self_us_), "us"},
+        {"merge.snapshot_all_us", merge_snapshot_all_us_, "us"},
+        {"merge.self_us", merge_self_us_, "us"},
         {"merge.self_ms", self("merge"), "ms"},
         {"snapshot_io.load_profile_ms", Median(load_profile_ms_), "ms"},
         {"snapshot_io.engine_build_ms", Median(engine_build_ms_), "ms"},
         {"snapshot_io.mb", snapshot_mb_, "MB"},
-        {"gen.producer_late_us_p99", Percentile(producer_late_us_, 0.99), "us"},
-        {"gen.reader_late_us_p99", Percentile(reader_late_us_, 0.99), "us"},
-        {"trace.overhead_pct", untraced > 0 ? (untraced - traced) / untraced * 100 : 0.0,
+        {"gen.producer_late_us_p99", Percentile(producer_late, 0.99), "us"},
+        {"gen.reader_late_us_p99", Percentile(reader_late, 0.99), "us"},
+        {"trace.overhead_pct", eps_off > 0 ? (eps_off - eps_on) / eps_off * 100 : 0.0, "%"},
+        {"trace.visible_overhead_pct", vis_off > 0 ? (vis_on - vis_off) / vis_off * 100 : 0.0,
          "%"},
     };
     for (const Metric& m : metrics) line(m.name.c_str(), m.value, m.unit.c_str(), 0);
