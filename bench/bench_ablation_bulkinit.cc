@@ -1,9 +1,11 @@
 // Ablation A6 — bulk construction vs incremental construction.
 //
 // Applications that start from a known frequency array (e.g. graph
-// shaving starts from the degree sequence) can build the profile with one
-// O(m log m) FromFrequencies instead of sum(F) O(1) Adds. This bench
-// quantifies the crossover.
+// shaving starts from the degree sequence, an engine restart from its
+// shard snapshots) can build the profile with one FromFrequencies instead
+// of sum(F) O(1) Adds. FromFrequencies is O(m + range) by counting
+// placement while max_freq < m, and an O(m log m) sort otherwise (the
+// {1<<16, 1<<20} row). This bench quantifies the crossover.
 
 #include <benchmark/benchmark.h>
 
@@ -40,7 +42,9 @@ BENCHMARK(BM_FromFrequencies)
     ->Args({1 << 12, 8})
     ->Args({1 << 16, 8})
     ->Args({1 << 20, 8})
-    ->Args({1 << 16, 1024});
+    ->Args({1 << 16, 1024})
+    ->Args({1 << 16, 1 << 20})
+    ->Args({1 << 21, 32});
 
 void BM_RepeatedAdds(benchmark::State& state) {
   const uint32_t m = static_cast<uint32_t>(state.range(0));

@@ -34,7 +34,7 @@ cow::PageAllocatorRef ResolveProfileAllocator(cow::PageAllocatorRef alloc,
 }
 
 FrequencyProfile::FrequencyProfile(uint32_t num_objects,
-                                   cow::PageAllocatorRef alloc)
+                                   cow::PageAllocatorRef alloc, Unfilled)
     : m_(num_objects),
       alloc_(ResolveProfileAllocator(std::move(alloc), num_objects)),
       pool_(alloc_, m_),
@@ -42,13 +42,23 @@ FrequencyProfile::FrequencyProfile(uint32_t num_objects,
       slots_(alloc_, m_) {
   f_to_t_.resize(m_);
   slots_.resize(m_);
+  if (m_ > 0) pool_.Reserve(std::min<size_t>(m_, 1024));
+}
+
+FrequencyProfile::FrequencyProfile(uint32_t num_objects,
+                                   cow::PageAllocatorRef alloc)
+    : FrequencyProfile(num_objects, std::move(alloc), Unfilled{}) {
   if (m_ == 0) return;
   // All frequencies start at 0: one block covering every rank.
-  pool_.Reserve(std::min<size_t>(m_, 1024));
   const BlockHandle all = pool_.Alloc(0, m_ - 1, 0);
-  for (uint32_t rank = 0; rank < m_; ++rank) {
-    f_to_t_.Mutable(rank) = rank;
-    slots_.Mutable(rank) = RankSlot{rank, all};
+  RankWriter out(*this);
+  for (uint32_t rank = 0; rank < m_; ++rank) out.Place(rank, rank, all);
+}
+
+FrequencyProfile::RankWriter::RankWriter(FrequencyProfile& p) : p_(p) {
+  if (p.slots_.EnsureFlat() && p.f_to_t_.EnsureFlat()) {
+    slots_ = p.slots_.flat_data();
+    ranks_ = p.f_to_t_.flat_data();
   }
 }
 
@@ -69,36 +79,72 @@ FrequencyProfile FrequencyProfile::Clone() const {
 
 FrequencyProfile FrequencyProfile::FromFrequencies(
     const std::vector<int64_t>& frequencies, cow::PageAllocatorRef alloc) {
-  FrequencyProfile p(static_cast<uint32_t>(frequencies.size()),
-                     std::move(alloc));
-  if (frequencies.empty()) return p;
+  const uint32_t m = static_cast<uint32_t>(frequencies.size());
+  FrequencyProfile p(m, std::move(alloc), Unfilled{});
+  if (m == 0) return p;
 
-  const uint32_t m = p.m_;
-  // Sort object ids by initial frequency to obtain T; stable so equal
-  // frequencies keep id order (deterministic across platforms).
+  int64_t lo = frequencies[0], hi = frequencies[0], total = 0;
+  [[maybe_unused]] bool overflow = false;
+  for (const int64_t f : frequencies) {
+    lo = std::min(lo, f);
+    hi = std::max(hi, f);
+    overflow |= __builtin_add_overflow(total, f, &total);
+  }
+  SPROFILE_DCHECK(!overflow);
+  p.total_count_ = total;
+
+  // Blocks are allocated in rank order and each id goes to the next free
+  // rank of its frequency in id order, so ties keep id order (the rank
+  // order is deterministic across platforms and paths). Unsigned: the
+  // span of {INT64_MIN, INT64_MAX} does not fit int64_t.
+  const uint64_t range = static_cast<uint64_t>(hi) - static_cast<uint64_t>(lo);
+  if (range < m) {
+    // Counting placement: count ids per frequency (the frequency array's
+    // own profile), turn counts into first ranks, scatter ids in id order.
+    struct Bucket {
+      uint32_t next_rank = 0;  // a count until the prefix sum below
+      BlockHandle block = 0;
+    };
+    const auto key = [lo](int64_t f) {
+      return static_cast<uint64_t>(f) - static_cast<uint64_t>(lo);
+    };
+    std::vector<Bucket> buckets(range + 1);
+    for (const int64_t f : frequencies) ++buckets[key(f)].next_rank;
+    uint32_t rank = 0;
+    for (uint64_t k = 0; k <= range; ++k) {
+      Bucket& b = buckets[k];
+      const uint32_t count = b.next_rank;
+      if (count == 0) continue;
+      b.block = p.pool_.Alloc(rank, rank + count - 1,
+                              static_cast<int64_t>(static_cast<uint64_t>(lo) + k));
+      b.next_rank = rank;
+      rank += count;
+    }
+    RankWriter out(p);
+    for (uint32_t id = 0; id < m; ++id) {
+      Bucket& b = buckets[key(frequencies[id])];
+      out.Place(id, b.next_rank++, b.block);
+    }
+    return p;
+  }
+
+  // Wide range: sort ids by frequency, then one block per equal run.
   std::vector<uint32_t> order(m);
   std::iota(order.begin(), order.end(), 0u);
   std::stable_sort(order.begin(), order.end(), [&](uint32_t a, uint32_t b) {
     return frequencies[a] < frequencies[b];
   });
-
-  // Rebuild the block set as maximal equal-frequency runs of T.
-  p.pool_.Clear();
+  RankWriter out(p);
   uint32_t run_start = 0;
   for (uint32_t rank = 1; rank <= m; ++rank) {
     if (rank == m ||
         frequencies[order[rank]] != frequencies[order[run_start]]) {
       const BlockHandle h =
           p.pool_.Alloc(run_start, rank - 1, frequencies[order[run_start]]);
-      for (uint32_t i = run_start; i < rank; ++i) {
-        p.slots_.Mutable(i) = RankSlot{order[i], h};
-        p.f_to_t_.Mutable(order[i]) = i;
-      }
+      for (uint32_t i = run_start; i < rank; ++i) out.Place(order[i], i, h);
       run_start = rank;
     }
   }
-  p.total_count_ = std::accumulate(frequencies.begin(), frequencies.end(),
-                                   static_cast<int64_t>(0));
   return p;
 }
 

@@ -238,8 +238,12 @@ class FrequencyProfile {
   explicit FrequencyProfile(uint32_t num_objects,
                             cow::PageAllocatorRef alloc = nullptr);
 
-  /// Bulk-builds a profile from initial frequencies in O(m log m)
-  /// (ablation A6 measures this against m repeated Adds).
+  /// Bulk-builds a profile from initial frequencies; ties keep id order.
+  /// O(m + range) by counting placement when max - min < m (the "finite
+  /// values" case: few distinct frequencies), else an O(m log m) stable
+  /// sort (ablation A6 measures this against m repeated Adds).
+  /// Precondition: the running sum of `frequencies`, in id order, never
+  /// overflows int64_t (LoadProfile rejects snapshots that break this).
   static FrequencyProfile FromFrequencies(const std::vector<int64_t>& frequencies,
                                           cow::PageAllocatorRef alloc = nullptr);
 
@@ -501,6 +505,35 @@ class FrequencyProfile {
 
  private:
   using RankSlot = internal::RankSlot;
+
+  /// Selects the constructor that sizes every array but leaves the rank
+  /// cells and the block pool for the caller to fill (FromFrequencies).
+  struct Unfilled {};
+  FrequencyProfile(uint32_t num_objects, cow::PageAllocatorRef alloc,
+                   Unfilled);
+
+  /// Bulk-build writer of the rank cells: puts `id` at `rank` in `block`.
+  /// Writes through raw pointers when both fresh arrays are flat
+  /// (run-capable allocators), else through Mutable(); the page-table
+  /// walk would double the cost of the restart's placement pass.
+  class RankWriter {
+   public:
+    explicit RankWriter(FrequencyProfile& p);
+    void Place(uint32_t id, uint32_t rank, BlockHandle block) {
+      if (slots_ != nullptr) {
+        slots_[rank] = RankSlot{id, block};
+        ranks_[id] = rank;
+        return;
+      }
+      p_.slots_.Mutable(rank) = RankSlot{id, block};
+      p_.f_to_t_.Mutable(id) = rank;
+    }
+
+   private:
+    FrequencyProfile& p_;
+    RankSlot* slots_ = nullptr;
+    uint32_t* ranks_ = nullptr;
+  };
 
   /// COW share: O(#pages). Backs Snapshot(); the batch scratch is not
   /// carried (it is not logical state and copying it would cost O(m)).

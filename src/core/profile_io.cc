@@ -146,6 +146,15 @@ Result<FrequencyProfile> LoadProfile(const std::string& path) {
   if (crc32c::Unmask(masked) != crc32c::Value(freqs.data(), bytes)) {
     return Status::Corruption(path + ": checksum mismatch");
   }
+  // FromFrequencies' precondition: a CRC-valid file can still hold a
+  // frequency array whose total_count() does not fit int64_t.
+  int64_t total = 0;
+  for (const int64_t f : freqs) {
+    if (__builtin_add_overflow(total, f, &total)) {
+      return Status::InvalidArgument(path +
+                                     ": frequency sum overflows int64");
+    }
+  }
   return FrequencyProfile::FromFrequencies(freqs);
 }
 

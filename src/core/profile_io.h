@@ -4,7 +4,8 @@
 // replaying the whole log stream. The snapshot format "SPPF" stores the
 // plain frequency array (the profile's entire logical state) with a masked
 // CRC32C, and LoadProfile rebuilds the block set with FromFrequencies in
-// O(m log m).
+// O(m + range) by counting placement when the frequencies span fewer than
+// m values, else in O(m log m) by sorting.
 //
 // Frozen (peeled) state is deliberately not persisted: peeling is a
 // transient consumption pattern (shaving loops), not durable state. Saving
@@ -35,7 +36,8 @@ Result<std::string> SerializeProfile(const FrequencyProfile& profile);
 /// profile has frozen objects (see header comment).
 Status SaveProfile(const FrequencyProfile& profile, const std::string& path);
 
-/// Reads a snapshot; verifies magic, version and checksum.
+/// Reads a snapshot; verifies magic, version and checksum, and rejects
+/// with InvalidArgument a frequency array whose sum overflows int64.
 Result<FrequencyProfile> LoadProfile(const std::string& path);
 
 }  // namespace sprofile

@@ -1,4 +1,4 @@
-// CRC32C (Castagnoli) checksum, table-driven (software) implementation.
+// CRC32C (Castagnoli) checksum, portable slicing-by-8 (software) implementation.
 //
 // Used by the stream IO format to detect corruption in persisted log
 // streams, mirroring how RocksDB checksums its blocks.

@@ -2,11 +2,13 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <cstdio>
 #include <fstream>
 #include <string>
 
 #include "stream/log_stream.h"
+#include "util/crc32c.h"
 
 namespace sprofile {
 namespace {
@@ -144,6 +146,21 @@ TEST_F(ProfileIoTest, DetectsCorruption) {
     f.write(&byte, 1);
   }
   EXPECT_EQ(LoadProfile(path).status().code(), StatusCode::kCorruption);
+}
+
+TEST_F(ProfileIoTest, OverflowingFrequencySumRejected) {
+  // A well-formed, CRC-valid file whose total_count() would overflow.
+  const std::string path = TempPath("sum_overflow.sppf");
+  const int64_t freqs[2] = {INT64_MAX, 1};
+  {
+    std::ofstream f(path, std::ios::binary);
+    const uint32_t header[4] = {0x46505053u, 1u, 2u, 0u};
+    f.write(reinterpret_cast<const char*>(header), sizeof(header));
+    f.write(reinterpret_cast<const char*>(freqs), sizeof(freqs));
+    const uint32_t masked = crc32c::Mask(crc32c::Value(freqs, sizeof(freqs)));
+    f.write(reinterpret_cast<const char*>(&masked), sizeof(masked));
+  }
+  EXPECT_EQ(LoadProfile(path).status().code(), StatusCode::kInvalidArgument);
 }
 
 TEST_F(ProfileIoTest, BadMagicRejected) {

@@ -7,13 +7,17 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
 #include <string>
 #include <tuple>
 #include <vector>
 
 #include "baselines/naive_profiler.h"
 #include "core/frequency_profile.h"
+#include "core/page_arena.h"
 #include "stream/log_stream.h"
+#include "util/random.h"
 
 namespace sprofile {
 namespace {
@@ -273,6 +277,81 @@ TEST(ProfileAdversarialTest, NegativeExcursions) {
   }
   ASSERT_TRUE(p.Validate().ok());
   EXPECT_EQ(p.Histogram(), o.Histogram());
+}
+
+// FromFrequencies (counting placement or its sort fallback) against the
+// stable-sort definition of the rank order: ties keep id order. `alloc`
+// null takes the default (heap pages at these sizes, the Mutable() writes);
+// an arena takes the flat raw-pointer writes.
+void ExpectMatchesStableSort(const std::vector<int64_t>& freqs,
+                             cow::PageAllocatorRef alloc) {
+  SCOPED_TRACE("m=" + std::to_string(freqs.size()) +
+               (alloc == nullptr ? " default pages" : " arena pages"));
+  const uint32_t m = static_cast<uint32_t>(freqs.size());
+  std::vector<uint32_t> order(m);
+  for (uint32_t id = 0; id < m; ++id) order[id] = id;
+  std::stable_sort(order.begin(), order.end(),
+                   [&](uint32_t a, uint32_t b) { return freqs[a] < freqs[b]; });
+  int64_t total = 0;
+  for (const int64_t f : freqs) total += f;
+
+  const FrequencyProfile p = FrequencyProfile::FromFrequencies(freqs, alloc);
+  ASSERT_TRUE(p.Validate().ok()) << p.Validate().ToString();
+  for (uint32_t r = 0; r < m; ++r) ASSERT_EQ(p.IdAtRank(r), order[r]) << "rank " << r;
+  EXPECT_EQ(p.ToFrequencies(), freqs);
+  EXPECT_EQ(p.total_count(), total);
+
+  const int64_t max = freqs[order[m - 1]];
+  std::vector<uint32_t> modes;
+  for (uint32_t id = 0; id < m; ++id) {
+    if (freqs[id] == max) modes.push_back(id);
+  }
+  EXPECT_EQ(p.Mode().frequency, max);
+  EXPECT_EQ(SortedIds(p.Mode()), modes);
+  const uint32_t lower = (m - 1) / 2, upper = m / 2;
+  EXPECT_EQ(p.MedianEntry(), (FrequencyEntry{order[lower], freqs[order[lower]]}));
+  EXPECT_EQ(p.UpperMedianEntry(),
+            (FrequencyEntry{order[upper], freqs[order[upper]]}));
+}
+
+std::vector<int64_t> RandomFrequencies(uint32_t m, int64_t lo, int64_t hi,
+                                       uint64_t seed) {
+  Xoshiro256PlusPlus rng(seed);
+  std::vector<int64_t> freqs(m);
+  for (int64_t& f : freqs) {
+    f = lo + static_cast<int64_t>(rng.NextBounded(static_cast<uint64_t>(hi - lo) + 1));
+  }
+  return freqs;
+}
+
+TEST(FromFrequenciesPlacementTest, MatchesStableSortReference) {
+  constexpr int64_t kMin = std::numeric_limits<int64_t>::min();
+  constexpr int64_t kMax = std::numeric_limits<int64_t>::max();
+  // The path boundary: a permutation of 0..99 spans m - 1 (counting);
+  // lifting one value to 100 spans m (sort fallback).
+  std::vector<int64_t> span_m_minus_1(100);
+  for (uint32_t id = 0; id < 100; ++id) span_m_minus_1[id] = (id * 37) % 100;
+  std::vector<int64_t> span_m = span_m_minus_1;
+  span_m[1] = 100;
+  const std::vector<std::vector<int64_t>> cases = {
+      RandomFrequencies(1000, 0, 23, 1),         // narrow range: counting
+      RandomFrequencies(1000, 0, 1'000'000, 2),  // range >= m: sort fallback
+      RandomFrequencies(500, -200, 100, 3),      // negatives, counting
+      RandomFrequencies(500, -100'000, 50, 4),   // negatives, fallback
+      span_m_minus_1,
+      span_m,
+      std::vector<int64_t>(257, 7),              // all equal
+      std::vector<int64_t>(64, -3),
+      {42},                                      // m = 1
+      {kMin},
+      {kMax},
+      {kMin, 0, kMax},                           // range overflows int64
+      {kMax, 0, kMin, kMax, kMin},
+  };
+  for (const std::vector<int64_t>& freqs : cases) {
+    ExpectMatchesStableSort(freqs, nullptr);
+    ExpectMatchesStableSort(freqs, cow::MakeArenaPageAllocator());
+  }
 }
 
 }  // namespace
