@@ -91,7 +91,8 @@ namespace sprofile {
 namespace engine {
 
 /// What a backend must provide to power a shard: the full concept
-/// vocabulary (merged queries lean on Histogram/CountEqual), construction
+/// vocabulary (merged queries lean on TopK/KthSmallest/CountEqual/
+/// Histogram), construction
 /// from a capacity, and both snapshot primitives — Clone() as an explicit
 /// deep copy, Snapshot() as a frozen copy that may be read from other
 /// threads while the original keeps updating (copy-on-write for SProfile;
@@ -384,14 +385,21 @@ class ShardWorker {
   /// sprofile_engine_stale_query_serves.
   std::shared_ptr<const ShardSnapshot<Backend>> snapshot() const
       SPROFILE_EXCLUDES(snapshot_mu_) {
-    if (quarantined_.load(std::memory_order_acquire)) {
-      SPROFILE_METRIC_COUNTER(
-          "sprofile_engine_stale_query_serves", "queries",
-          "Snapshot reads answered from a quarantined shard's frozen state")
-          .Increment();
-    }
+    CountStaleServe();
     MutexLock lock(snapshot_mu_);
     return snapshot_;
+  }
+
+  /// Frequency of local id `id` in the current snapshot, read while
+  /// holding snapshot_mu_ instead of copying the shared_ptr out: a point
+  /// lookup costs one lock round trip and no refcount traffic. Snapshots
+  /// are immutable and Publish takes the lock only for the pointer swap,
+  /// so a colliding publish waits for one lookup at most.
+  int64_t SnapshotFrequency(uint32_t id) const
+      SPROFILE_EXCLUDES(snapshot_mu_) {
+    CountStaleServe();
+    MutexLock lock(snapshot_mu_);
+    return snapshot_->profile.Frequency(id);
   }
 
   /// Publish pauses observed so far (ns the worker spent producing and
@@ -612,6 +620,16 @@ class ShardWorker {
     CPU_SET(static_cast<unsigned>(pin_core_), &set);
     (void)pthread_setaffinity_np(pthread_self(), sizeof(set), &set);
 #endif
+  }
+
+  /// Tallies a snapshot read against a quarantined shard.
+  void CountStaleServe() const {
+    if (quarantined_.load(std::memory_order_acquire)) {
+      SPROFILE_METRIC_COUNTER(
+          "sprofile_engine_stale_query_serves", "queries",
+          "Snapshot reads answered from a quarantined shard's frozen state")
+          .Increment();
+    }
   }
 
   void Publish(bool record_pause = true)
@@ -1054,7 +1072,7 @@ class ShardedProfilerT {
     SPROFILE_METRIC_COUNTER("sprofile_engine_query_point", "queries",
                             "Single-id Frequency() lookups served")
         .Increment();
-    return shards_[ShardOf(id)]->snapshot()->profile.Frequency(LocalId(id));
+    return shards_[ShardOf(id)]->SnapshotFrequency(LocalId(id));
   }
 
   /// Global maximum frequency with its tie-group size: the max of shard
@@ -1084,11 +1102,11 @@ class ShardedProfilerT {
   int64_t Mode() const { return MergedMode().frequency; }
 
   /// Merged ascending histogram: k-way merge of per-shard histograms with
-  /// equal frequencies summed. O(Σ groups · log shards).
+  /// equal frequencies summed. O(Σ groups · S) for S shards. The only
+  /// merged query that materialises histograms: it returns every group.
   std::vector<GroupStat> Histogram() const {
-    SPROFILE_METRIC_COUNTER(
-        "sprofile_engine_query_histogram", "queries",
-        "Merged histogram builds (incl. quantile/top-k internal use)")
+    SPROFILE_METRIC_COUNTER("sprofile_engine_query_histogram", "queries",
+                            "Merged Histogram() builds served")
         .Increment();
     std::vector<std::vector<GroupStat>> per_shard = PerShardHistograms();
     std::vector<size_t> cursor(per_shard.size(), 0);
@@ -1116,21 +1134,60 @@ class ShardedProfilerT {
     return merged;
   }
 
-  /// k-th smallest frequency over all ids, k in [1, capacity()], by
-  /// walking the merged histogram.
+  /// k-th smallest frequency over all ids, k in [1, capacity()], by S-way
+  /// discard selection over the shards' own KthSmallest on one
+  /// SnapshotAll(). Each round probes every non-exhausted shard at
+  /// `step = max(1, k / live)` ranks past its offset (fewer if the shard
+  /// has fewer left) and drops the probed prefix of the shard whose probe
+  /// is smallest. In a merged order that breaks ties toward that shard,
+  /// the prefix ends at rank <= live·step − (live − 1) < k, so dropping
+  /// it keeps the answer. O(S² log k) probes, each O(1) on S-Profile.
   int64_t KthSmallest(uint64_t k) const {
     SPROFILE_DCHECK(k >= 1 && k <= capacity_);
     SPROFILE_METRIC_COUNTER(
         "sprofile_engine_query_quantile", "queries",
         "Rank queries served (KthSmallest/KthLargest/Median/Quantile)")
         .Increment();
-    uint64_t cum = 0;
-    for (const GroupStat& g : Histogram()) {
-      cum += g.count;
-      if (cum >= k) return g.frequency;
+    struct Cursor {
+      const Backend* profile;
+      uint64_t offset;  // smallest ranks already dropped
+      uint64_t size;
+    };
+    const auto snaps = SnapshotAll();
+    std::vector<Cursor> live;
+    live.reserve(snaps.size());
+    for (const auto& snap : snaps) {
+      if (snap->profile.capacity() == 0) continue;
+      live.push_back(Cursor{&snap->profile, 0, snap->profile.capacity()});
     }
-    SPROFILE_CHECK_MSG(false, "KthSmallest ran off the merged histogram");
-    return 0;
+    for (;;) {
+      SPROFILE_DCHECK(!live.empty());
+      if (live.size() == 1) {
+        SPROFILE_CHECK_MSG(k >= 1 && live[0].offset + k <= live[0].size,
+                           "KthSmallest rank outside the merged profile");
+        return live[0].profile->KthSmallest(live[0].offset + k);
+      }
+      const uint64_t step = std::max<uint64_t>(1, k / live.size());
+      size_t best = 0;
+      uint64_t best_take = 0;
+      int64_t best_value = 0;
+      for (size_t i = 0; i < live.size(); ++i) {
+        const uint64_t take = std::min(step, live[i].size - live[i].offset);
+        const int64_t v = live[i].profile->KthSmallest(live[i].offset + take);
+        if (i == 0 || v < best_value) {
+          best = i;
+          best_take = take;
+          best_value = v;
+        }
+      }
+      // k == 1 probed every head: the smallest is the answer.
+      if (k == 1) return best_value;
+      k -= best_take;
+      live[best].offset += best_take;
+      if (live[best].offset == live[best].size) {
+        live.erase(live.begin() + best);
+      }
+    }
   }
 
   int64_t KthLargest(uint64_t k) const {
@@ -1172,22 +1229,23 @@ class ShardedProfilerT {
     return sum;
   }
 
-  /// Top-k frequencies, descending: the merged histogram walked from its
-  /// top group, emitting count copies per group. Emits min(k, capacity())
-  /// values. O(Σ groups · shards) for the merge + O(k) emission.
+  /// Top-k frequencies, descending: each shard's own TopK(k) on one
+  /// SnapshotAll(), merged and cut to min(k, capacity()) values. O(S·k).
   std::vector<int64_t> TopK(uint32_t k) const {
     SPROFILE_METRIC_COUNTER("sprofile_engine_query_topk", "queries",
                             "TopK() merges served")
         .Increment();
-    const std::vector<GroupStat> merged = Histogram();
+    const size_t want = std::min<uint64_t>(k, capacity_);
     std::vector<int64_t> out;
-    const uint64_t want = std::min<uint64_t>(k, capacity_);
-    out.reserve(want);
-    for (auto it = merged.rbegin(); it != merged.rend() && out.size() < want;
-         ++it) {
-      for (uint32_t i = 0; i < it->count && out.size() < want; ++i) {
-        out.push_back(it->frequency);
-      }
+    std::vector<int64_t> merged;
+    for (const auto& snap : SnapshotAll()) {
+      if (snap->profile.capacity() == 0) continue;
+      const std::vector<int64_t> top = snap->profile.TopK(k);
+      merged.resize(out.size() + top.size());
+      std::merge(out.begin(), out.end(), top.begin(), top.end(),
+                 merged.begin(), std::greater<>());
+      merged.resize(std::min(merged.size(), want));
+      out.swap(merged);
     }
     return out;
   }

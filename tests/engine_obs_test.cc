@@ -72,8 +72,9 @@ TEST(EngineObsTest, IngestionAndQueryCountersAdvance) {
   EXPECT_EQ(CounterValue("sprofile_engine_drain_batch_ns") - drain_ns0,
             batches);
 
-  // Each facade query bumps its own per-kind counter by exactly one
-  // (Histogram() additionally serves the quantile walk internally).
+  // Each facade query bumps its own per-kind counter by exactly one; rank
+  // and top-k queries read the shards' order statistics, never the
+  // merged histogram.
   const uint64_t q_total0 = CounterValue("sprofile_engine_query_total");
   const uint64_t q_point0 = CounterValue("sprofile_engine_query_point");
   const uint64_t q_mode0 = CounterValue("sprofile_engine_query_mode");
@@ -96,8 +97,7 @@ TEST(EngineObsTest, IngestionAndQueryCountersAdvance) {
   EXPECT_EQ(CounterValue("sprofile_engine_query_quantile") - q_quant0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_count") - q_count0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_topk") - q_topk0, 1u);
-  // Direct call + KthSmallest's internal walk; TopK may also use it.
-  EXPECT_GE(CounterValue("sprofile_engine_query_histogram") - q_hist0, 2u);
+  EXPECT_EQ(CounterValue("sprofile_engine_query_histogram") - q_hist0, 1u);
 }
 
 TEST(EngineObsTest, CallbackGaugesTrackEngineStorageAndUnregister) {

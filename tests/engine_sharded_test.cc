@@ -13,6 +13,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <filesystem>
@@ -66,23 +67,32 @@ void ExpectMatchesOracle(const ShardedProfiler& engine,
                          const baselines::NaiveProfiler& oracle) {
   ASSERT_EQ(engine.capacity(), oracle.capacity());
   EXPECT_EQ(engine.total_count(), oracle.total_count());
-  for (uint32_t id = 0; id < oracle.capacity(); ++id) {
+  const uint32_t m = oracle.capacity();
+  std::vector<int64_t> sorted;
+  sorted.reserve(m);
+  for (uint32_t id = 0; id < m; ++id) {
     ASSERT_EQ(engine.Frequency(id), oracle.Frequency(id)) << "id " << id;
+    sorted.push_back(oracle.Frequency(id));
   }
+  std::sort(sorted.begin(), sorted.end());
   EXPECT_EQ(engine.Mode(), oracle.ModeFrequency());
   EXPECT_EQ(engine.Histogram(), oracle.Histogram());
   EXPECT_EQ(engine.Median(), oracle.MedianFrequency());
-  const uint32_t m = oracle.capacity();
-  for (uint64_t k : {uint64_t{1}, uint64_t{m / 3 + 1}, uint64_t{m}}) {
-    EXPECT_EQ(engine.KthSmallest(k), oracle.KthSmallest(k)) << "k " << k;
-    EXPECT_EQ(engine.KthLargest(k), oracle.KthLargest(k)) << "k " << k;
+  for (uint64_t k = 1; k <= m; ++k) {
+    ASSERT_EQ(engine.KthSmallest(k), sorted[k - 1]) << "k " << k;
+    ASSERT_EQ(engine.KthLargest(k), sorted[m - k]) << "k " << k;
+  }
+  for (double q : {0.0, 0.1, 0.5, 0.9, 1.0}) {
+    EXPECT_EQ(engine.Quantile(q), sorted[static_cast<size_t>(q * (m - 1))])
+        << "q " << q;
   }
   for (int64_t f : {int64_t{-1}, int64_t{0}, int64_t{1}, int64_t{3}}) {
     EXPECT_EQ(engine.CountAtLeast(f), oracle.CountAtLeast(f)) << "f " << f;
     EXPECT_EQ(engine.CountEqual(f), oracle.CountEqual(f)) << "f " << f;
   }
-  EXPECT_EQ(engine.TopK(std::min(m, 25u)),
-            oracle.TopKFrequencies(std::min(m, 25u)));
+  for (uint32_t k : {0u, 1u, 25u, m - 1, m, m + 7}) {
+    EXPECT_EQ(engine.TopK(k), oracle.TopKFrequencies(k)) << "k " << k;
+  }
 }
 
 TEST(ShardRoutingTest, StridePartitionCoversEveryIdOnce) {
@@ -126,8 +136,34 @@ TEST(ShardedProfilerTest, MoreShardsThanIdsLeavesEmptyShards) {
   EXPECT_EQ(engine.Frequency(2), 1);
   EXPECT_EQ(engine.Mode(), 2);
   EXPECT_EQ(engine.total_count(), 2);
-  EXPECT_EQ(engine.KthSmallest(1), -1);
+  const std::vector<int64_t> sorted = {-1, 1, 2};
+  for (uint64_t k = 1; k <= kCapacity; ++k) {
+    EXPECT_EQ(engine.KthSmallest(k), sorted[k - 1]) << "k " << k;
+    EXPECT_EQ(engine.KthLargest(k), sorted[kCapacity - k]) << "k " << k;
+  }
+  EXPECT_EQ(engine.Median(), 1);
   EXPECT_EQ(engine.TopK(8), (std::vector<int64_t>{2, 1, -1}));
+}
+
+// Rank queries drop whole runs of equal frequencies from one shard at a
+// time; here every frequency in [-3, 3] is shared by ids on every shard,
+// so each discard round ties across shards.
+TEST(ShardedProfilerTest, EqualFrequenciesStraddlingShardsMatchOracle) {
+  constexpr uint32_t kCapacity = 70;
+  std::vector<Event> events;
+  for (uint32_t id = 0; id < kCapacity; ++id) {
+    const int32_t f = static_cast<int32_t>(id % 7) - 3;
+    if (f != 0) events.push_back(Event{id, f});
+  }
+  const baselines::NaiveProfiler oracle = OracleOf(kCapacity, events);
+  for (uint32_t shards : {2u, 3u, 5u, 9u}) {
+    SCOPED_TRACE("shards=" + std::to_string(shards));
+    ShardedProfiler engine(kCapacity, SmallOptions(shards));
+    ExpectMatchesOracle(engine, baselines::NaiveProfiler(kCapacity));
+    engine.ApplyBatch(events);
+    engine.Drain();
+    ExpectMatchesOracle(engine, oracle);
+  }
 }
 
 TEST(ShardedProfilerTest, FlushIsReadYourWrites) {
@@ -257,6 +293,7 @@ TEST(ShardedProfilerTest, ConcurrentReadersDuringIngestion) {
 
   std::atomic<bool> done{false};
   std::thread reader([&engine, &done, kAdds] {
+    uint32_t id = 0;
     while (!done.load(std::memory_order_acquire)) {
       const int64_t total = engine.total_count();
       EXPECT_GE(total, 0);
@@ -264,7 +301,22 @@ TEST(ShardedProfilerTest, ConcurrentReadersDuringIngestion) {
       const int64_t mode = engine.Mode();
       EXPECT_GE(mode, 0);
       (void)engine.Histogram();
-      (void)engine.TopK(10);
+      const std::vector<int64_t> top = engine.TopK(10);
+      ASSERT_EQ(top.size(), 10u);
+      for (size_t i = 0; i < top.size(); ++i) {
+        EXPECT_GE(top[i], 0);
+        EXPECT_LE(top[i], kAdds);
+        if (i > 0) {
+          EXPECT_LE(top[i], top[i - 1]);
+        }
+      }
+      for (const int64_t f :
+           {engine.Median(), engine.KthLargest(1), engine.Quantile(0.9),
+            engine.Frequency(id)}) {
+        EXPECT_GE(f, 0);
+        EXPECT_LE(f, kAdds);
+      }
+      id = (id + 1) % kCapacity;
     }
   });
 
@@ -296,8 +348,12 @@ TEST(ShardedProfilerTest, NaiveBackedEngineMatchesSProfileBackedEngine) {
   EXPECT_EQ(fast.Mode(), slow.Mode());
   EXPECT_EQ(fast.Histogram(), slow.Histogram());
   EXPECT_EQ(fast.TopK(17), slow.TopK(17));
+  EXPECT_EQ(fast.Median(), slow.Median());
   for (uint32_t id = 0; id < kCapacity; ++id) {
     ASSERT_EQ(fast.Frequency(id), slow.Frequency(id)) << "id " << id;
+  }
+  for (uint64_t k = 1; k <= kCapacity; ++k) {
+    ASSERT_EQ(fast.KthSmallest(k), slow.KthSmallest(k)) << "k " << k;
   }
 }
 
