@@ -7,7 +7,7 @@
 // pre-generated event chunks through ShardedProfiler::ApplyBatch; the run
 // is timed from first push until Drain() returns, so the number reported
 // is end-to-end sustained ingestion (routing + queues + workers applying
-// via the coalescing batch path), not enqueue-only burst rate. Snapshot
+// via the batch path), not enqueue-only burst rate. Snapshot
 // interval is 0: publish cost stays off the steady-state path, as a
 // pure-ingestion deployment would configure it. The matrix crosses
 // alloc={arena,heap} (EngineOptions::page_allocator) with pin={off,on}
@@ -44,7 +44,6 @@
 #include <vector>
 
 #include "bench/bench_common.h"
-#include "core/flat_kernel.h"
 #include "core/page_arena.h"
 #include "sprofile/obs/export.h"
 #include "sprofile/obs/metrics.h"
@@ -263,23 +262,10 @@ const char* ModeName(engine::SnapshotMode mode) {
   return mode == engine::SnapshotMode::kCow ? "cow" : "deep_copy";
 }
 
-/// The kernel tiers this machine can A/B: scalar always, plus whatever
-/// the CPU dispatches to (forced-scalar builds detect only scalar, so
-/// their rows simply carry kernel=scalar — the trajectory gate matches
-/// rows on (scale, m, kernel) and never compares across tiers).
-std::vector<sprofile::simd::KernelTier> KernelTiers() {
-  std::vector<sprofile::simd::KernelTier> tiers{
-      sprofile::simd::KernelTier::kScalar};
-  if (sprofile::simd::DetectKernelTier() !=
-      sprofile::simd::KernelTier::kScalar) {
-    tiers.push_back(sprofile::simd::DetectKernelTier());
-  }
-  return tiers;
-}
-
-std::string ActiveKernelName() {
-  return sprofile::simd::KernelTierName(sprofile::simd::ActiveKernelTier());
-}
+/// Tag of every ns/event row: the CI kernel gate matches rows on
+/// (metric, scale, m, kernel, storage) against their committed seeds.
+/// There is one update kernel, the scalar one.
+constexpr const char* kKernelTag = "scalar";
 
 }  // namespace
 
@@ -451,7 +437,7 @@ int main() {
     EmitJsonLine("bench_engine_scaling", "update_ns_per_event", ns,
                  {{"storage", c.name},
                   {"m", std::to_string(sizes.m)},
-                  {"kernel", ActiveKernelName()}});
+                  {"kernel", kKernelTag}});
     EmitJsonLine("bench_engine_scaling",
                  std::string(c.name) + "_over_flat", ns / flat_ns,
                  {{"m", std::to_string(sizes.m)}});
@@ -473,26 +459,13 @@ int main() {
               "no-runs fallback\n\n");
 
   // -----------------------------------------------------------------------
-  // Kernel A/B (ISSUE 9): the same stream through each dispatchable
-  // kernel tier. Two shapes:
-  //   - batched single-thread ApplyBatch in engine-sized chunks (2048) —
-  //     the staged replay path (coalesce/netting, locality sort, warm
-  //     pass, lookahead) in isolation;
-  //   - single-shard end-to-end ingestion — the 2x-vs-seed acceptance
-  //     row, per tier, so the trajectory history records which kernel
-  //     produced every events_per_sec figure.
-  // kernel_speedup_vs_scalar compares tiers within THIS run only; the CI
-  // gate never compares rows across different kernel tags.
+  // Batch kernel: the same stream through single-thread ApplyBatch in
+  // engine-sized chunks (2048) — the batch replay loop in isolation — and
+  // through a single-shard engine end to end.
   // -----------------------------------------------------------------------
-  std::printf("# kernel A/B (single thread ApplyBatch chunks of 2048, then "
+  std::printf("# batch kernel (single thread ApplyBatch chunks of 2048, then "
               "single-shard engine)\n");
-  TablePrinter kernel_table(
-      {"kernel", "batch ns/event", "engine events/sec", "vs scalar"});
-  double scalar_eps = 0.0;
-  for (const sprofile::simd::KernelTier tier : KernelTiers()) {
-    sprofile::simd::SetKernelTier(tier);
-    const std::string kernel = ActiveKernelName();
-
+  {
     double batch_ns = 0.0;
     {
       auto alloc = sprofile::cow::MakeArenaPageAllocator();
@@ -506,36 +479,24 @@ int main() {
                  static_cast<double>(events.size());
       Sink(p.Mode().frequency);
     }
-
     const RunResult r =
         RunIngestion(sizes, /*shards=*/1, /*snapshot_interval=*/0,
                      engine::SnapshotMode::kCow, events,
                      engine::PageAllocatorKind::kArena);
-    if (tier == sprofile::simd::KernelTier::kScalar) {
-      scalar_eps = r.events_per_sec;
-    }
-    char bns[32], eps_s[32], rel[32];
+    TablePrinter kernel_table({"kernel", "batch ns/event", "engine events/sec"});
+    char bns[32], eps_s[32];
     std::snprintf(bns, sizeof(bns), "%.3g", batch_ns);
     std::snprintf(eps_s, sizeof(eps_s), "%.3g", r.events_per_sec);
-    std::snprintf(rel, sizeof(rel), "%.2fx", r.events_per_sec / scalar_eps);
-    kernel_table.AddRow({kernel, bns, eps_s, rel});
-    const std::vector<JsonTag> ktags = {{"m", std::to_string(sizes.m)},
-                                        {"kernel", kernel}};
+    kernel_table.AddRow({kKernelTag, bns, eps_s});
     EmitJsonLine("bench_engine_scaling", "batch_update_ns_per_event", batch_ns,
-                 ktags);
+                 {{"m", std::to_string(sizes.m)}, {"kernel", kKernelTag}});
     EmitJsonLine("bench_engine_scaling", "events_per_sec", r.events_per_sec,
                  {{"shards", "1"},
                   {"alloc", "arena"},
                   {"pin", "off"},
-                  {"kernel", kernel}});
-    EmitJsonLine("bench_engine_scaling", "kernel_speedup_vs_scalar",
-                 r.events_per_sec / scalar_eps, ktags);
+                  {"kernel", kKernelTag}});
+    std::printf("%s\n", kernel_table.ToString().c_str());
   }
-  sprofile::simd::ClearKernelTierOverride();
-  std::printf("%s\n", kernel_table.ToString().c_str());
-  std::printf("# target (ISSUE 9): single-shard events/sec >= 2x the seed "
-              "baseline at quick scale; vectorized tiers >= the scalar "
-              "row\n\n");
 
   // -----------------------------------------------------------------------
   // Publish-interval sweep (ISSUE 5 satellite): "the COW tax is
@@ -588,7 +549,7 @@ int main() {
     const std::vector<JsonTag> tags = {{"mode", "publish_sweep"},
                                        {"interval", std::to_string(interval)},
                                        {"m", std::to_string(sizes.m)},
-                                       {"kernel", ActiveKernelName()}};
+                                       {"kernel", kKernelTag}};
     EmitJsonLine("bench_engine_scaling", "update_ns_per_event", ns, tags);
     EmitJsonLine("bench_engine_scaling", "sweep_over_flat", ns / flat_ns,
                  tags);

@@ -16,8 +16,8 @@ int main() {
   // A profile over m = 8 objects, everything starting at frequency 0.
   sprofile::FrequencyProfile profile(8);
 
-  // Feed log events. Single updates are O(1); a batch coalesces per-id
-  // deltas before touching the structure.
+  // Feed log events. Single updates are O(1); a batch applies each event's
+  // delta as that many O(1) steps, in arrival order.
   profile.Add(3);
   profile.ApplyBatch(std::vector<sprofile::Event>{
       {3, +2},                     // two more likes for object 3

@@ -56,7 +56,7 @@ inline std::vector<int64_t> FrequenciesOf(
 }  // namespace internal
 
 /// The paper's S-Profile: O(1) updates, O(1) order statistics, the native
-/// coalescing ApplyBatch. Models FullProfiler.
+/// ApplyBatch. Models FullProfiler.
 class SProfile : public ProfilerBase<SProfile> {
  public:
   explicit SProfile(uint32_t num_objects) : p_(num_objects) {}
@@ -70,7 +70,7 @@ class SProfile : public ProfilerBase<SProfile> {
 
   void Add(uint32_t id) { p_.Add(id); }
   void Remove(uint32_t id) { p_.Remove(id); }
-  /// Shadows the looped default with the native coalescing path.
+  /// Shadows the looped default with the native batch path.
   void ApplyBatch(std::span<const Event> events) { p_.ApplyBatch(events); }
 
   /// Explicit deep copy (the engine's snapshot_mode=deep_copy path).
@@ -107,13 +107,6 @@ class SProfile : public ProfilerBase<SProfile> {
   /// blocked by a live snapshot; one dirty-run copy per faulted page when
   /// it succeeds.
   void MaintainStorage() { p_.TryReflatten(); }
-
-  /// Batch-pipeline tuning hook (engine::TunesBatchPipeline): minimum
-  /// drained-batch size before ApplyBatch reorders a batch by block
-  /// locality. Forwarded from EngineOptions::batch_sort_threshold.
-  void SetBatchSortThreshold(uint32_t threshold) {
-    p_.set_batch_sort_threshold(threshold);
-  }
 
   /// True while updates run through the flat (no page-table) kernel.
   bool storage_flat() const { return p_.storage_flat(); }

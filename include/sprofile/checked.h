@@ -75,8 +75,8 @@ class CheckedProfile {
     return is_add ? TryAdd(id) : TryRemove(id);
   }
 
-  /// Validates every event, then applies the batch through the coalescing
-  /// path. All-or-nothing: a non-OK return means nothing was applied.
+  /// Validates every event, then applies the batch through the native
+  /// batch path. All-or-nothing: a non-OK return means nothing was applied.
   Status TryApplyBatch(std::span<const Event> events) {
     for (size_t i = 0; i < events.size(); ++i) {
       Status s = CheckUpdatableId(events[i].id);

@@ -86,8 +86,8 @@ struct EngineOptions {
   uint32_t queue_capacity = 1 << 16;
 
   /// Maximum events a worker applies per ApplyBatch drain. Larger batches
-  /// amortize queue traffic and give the coalescing batch path more
-  /// cancellation to exploit; smaller batches tighten flush latency.
+  /// amortize queue traffic and give the batch warm pass more misses to
+  /// overlap; smaller batches tighten flush latency.
   uint32_t drain_batch = 1024;
 
   /// Applied events between automatically published read snapshots while
@@ -118,15 +118,6 @@ struct EngineOptions {
 
   /// Memory placement for pinned workers (see NumaPolicy).
   NumaPolicy numa_policy = NumaPolicy::kNone;
-
-  /// Minimum drained-batch size before a shard's backend reorders the
-  /// batch for block locality (the radix partition / rank sort in
-  /// FrequencyProfile::ApplyBatch). Below the threshold the batch is
-  /// replayed in arrival order — small batches cannot amortize the extra
-  /// partition passes. Must be in [1, queue_capacity]: a batch can never
-  /// exceed the ring, so a larger value could silently never trigger.
-  /// Ignored by backends without a SetBatchSortThreshold hook.
-  uint32_t batch_sort_threshold = 256;
 
   /// Producer behavior on a persistently full shard ring (see
   /// OverloadPolicy). kBlock preserves every event; kShed / kDeadline
@@ -203,11 +194,6 @@ struct EngineOptions {
           "engine pause_sample_capacity must be in [1, " +
           std::to_string(kMaxPauseSampleCapacity) + "], got " +
           std::to_string(pause_sample_capacity));
-    }
-    if (batch_sort_threshold == 0 || batch_sort_threshold > queue_capacity) {
-      return Status::InvalidArgument(
-          "engine batch_sort_threshold must be in [1, queue_capacity], got " +
-          std::to_string(batch_sort_threshold));
     }
     if (overload_policy != OverloadPolicy::kBlock &&
         overload_policy != OverloadPolicy::kShed &&

@@ -5,8 +5,8 @@
 // producers (serving threads calling Add/ApplyBatch), exactly one consumer
 // (the shard's worker thread). The single-consumer restriction buys a
 // cheaper dequeue — no CAS, just one acquire load and two stores per
-// popped cell — and lets the consumer pop a whole batch per call, which is
-// what feeds ApplyBatch its coalescing window.
+// popped cell — and lets the consumer pop a whole batch per call, the
+// span it hands to ApplyBatch.
 //
 // Properties:
 //   - TryPushSpan reserves a contiguous run of cells with ONE CAS for the

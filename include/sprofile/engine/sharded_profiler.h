@@ -136,17 +136,6 @@ concept ReportsPageAllocator = requires(const B& b) {
 template <typename B>
 concept MaintainsStorage = requires(B& b) { b.MaintainStorage(); };
 
-/// Backends whose batch-replay pipeline takes a locality-sort threshold
-/// (adapters::SProfile models this with
-/// FrequencyProfile::set_batch_sort_threshold): the shard worker forwards
-/// EngineOptions::batch_sort_threshold right after constructing the
-/// backend, so a drained batch at least that large may be reordered by
-/// block locality before replay. Backends without the hook ignore the
-/// option.
-template <typename B>
-concept TunesBatchPipeline =
-    requires(B& b, uint32_t t) { b.SetBatchSortThreshold(t); };
-
 /// Aggregated storage counters across every shard whose allocator the
 /// engine knows (ShardedProfilerT::MemoryStats): arena lifecycle, live
 /// pages, and the post-publish COW fault tally.
@@ -203,7 +192,6 @@ class ShardWorker {
               cow::PageAllocatorRef allocator)
       : queue_(options.queue_capacity),
         drain_batch_(options.drain_batch),
-        batch_sort_threshold_(options.batch_sort_threshold),
         snapshot_interval_(options.snapshot_interval == 0
                                ? std::numeric_limits<uint64_t>::max()
                                : options.snapshot_interval),
@@ -449,9 +437,6 @@ class ShardWorker {
       // libnuma-free half of numa_policy=local).
       live_.emplace(factory_());
       factory_ = nullptr;  // release captured state (restored backends)
-      if constexpr (TunesBatchPipeline<Backend>) {
-        live_->SetBatchSortThreshold(batch_sort_threshold_);
-      }
       Publish(/*record_pause=*/false);  // the epoch-0 snapshot
     } catch (...) {
       // Hand the failure to WaitReady (the engine constructor) instead of
@@ -735,7 +720,6 @@ class ShardWorker {
 
   MpscRingBuffer<Event> queue_;
   const uint32_t drain_batch_;
-  const uint32_t batch_sort_threshold_;  // forwarded to the backend's hook
   const uint64_t snapshot_interval_;
   const bool cow_snapshots_;
   const OverloadPolicy overload_policy_;

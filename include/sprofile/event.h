@@ -1,9 +1,8 @@
 // Event — the unit of batched ingestion across the sprofile:: public API.
 //
 // One event carries a signed frequency delta for one object; the ±1 stream
-// tuples of the paper map to delta = +1 (add) / -1 (remove), and a batch of
-// events is what ApplyBatch() coalesces per id before touching the profile's
-// block structure. This header is a leaf: the core library includes it, so
+// tuples of the paper map to delta = +1 (add) / -1 (remove), and ApplyBatch()
+// replays a batch of events as |delta| such steps each. This header is a leaf: the core library includes it, so
 // it must not include anything beyond the standard library.
 
 #ifndef SPROFILE_SPROFILE_EVENT_H_

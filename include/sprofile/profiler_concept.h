@@ -19,7 +19,7 @@
 //
 // ProfilerBase is the CRTP adapter base: it derives Apply from Add/Remove
 // and supplies the default (looped) ApplyBatch, which FrequencyProfile's
-// adapter overrides with the coalescing batch path.
+// adapter overrides with its native batch path.
 
 #ifndef SPROFILE_SPROFILE_PROFILER_CONCEPT_H_
 #define SPROFILE_SPROFILE_PROFILER_CONCEPT_H_

@@ -118,9 +118,8 @@ class KeyedProfile {
   };
 
   /// Applies events in order; stops at the first failing Remove and returns
-  /// its status (earlier events stay applied). The hash-map hop per event
-  /// keeps this a loop rather than a coalesced path — the dense-id batching
-  /// lives in FrequencyProfile::ApplyBatch.
+  /// its status (earlier events stay applied). One hash-map hop per event;
+  /// the dense-id batch path is FrequencyProfile::ApplyBatch.
   Status ApplyBatch(std::span<const KeyedEvent> events) {
     for (const KeyedEvent& e : events) {
       SPROFILE_RETURN_NOT_OK(Apply(e.key, e.is_add));

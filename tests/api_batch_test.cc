@@ -1,4 +1,4 @@
-// FrequencyProfile::ApplyBatch — the coalescing batch update path — plus
+// FrequencyProfile::ApplyBatch — the batch update path — plus
 // the GroupView staleness trap and the stream->Event wiring.
 
 #include <gtest/gtest.h>
@@ -38,34 +38,44 @@ TEST(ApplyBatchTest, SingleBatchMatchesLoopedApply) {
 }
 
 #ifndef NDEBUG
-// The coalescer's observable win: a self-cancelling batch performs zero
-// structural updates. The debug generation counter counts exactly those.
-TEST(ApplyBatchTest, SelfCancellingBatchTouchesNoBlocks) {
-  FrequencyProfile p(8);
-  const uint64_t before = p.generation();
-  std::vector<Event> storm;
+// The batch contract: every event is |delta| unit steps in arrival order,
+// so a batch advances the debug generation counter (one tick per Add or
+// Remove) by exactly Σ|delta| — a self-cancelling storm included — and
+// lands on the state looped replay reaches, rank permutation and all.
+TEST(ApplyBatchTest, BatchDoesSumOfAbsDeltaStepsLikeLoopedReplay) {
+  FrequencyProfile batched(8);
+  FrequencyProfile looped(8);
+  std::vector<Event> events;
   for (int round = 0; round < 50; ++round) {
-    storm.push_back(Event::Add(3));
-    storm.push_back(Event::Remove(3));
+    events.push_back(Event::Add(3));
+    events.push_back(Event::Remove(3));
   }
-  p.ApplyBatch(storm);
-  EXPECT_EQ(p.generation(), before);  // like/unlike storm fully coalesced
-  EXPECT_EQ(p.Frequency(3), 0);
-  EXPECT_TRUE(p.Validate().ok());
-}
+  events.push_back(Event{2, 5});
+  events.push_back(Event{4, -3});
+  events.push_back(Event{2, -2});
+  events.push_back(Event{6, 0});
+  uint64_t steps = 0;
+  for (const Event& e : events) {
+    steps += static_cast<uint64_t>(e.delta < 0 ? -int64_t{e.delta} : e.delta);
+  }
 
-TEST(ApplyBatchTest, CoalescedBatchDoesMinimalSteps) {
-  FrequencyProfile p(8);
-  const uint64_t before = p.generation();
-  // Net effect: id 2 -> +2, id 4 -> -1; 3 structural steps from 7 events.
-  p.ApplyBatch(std::vector<Event>{Event::Add(2), Event::Add(4),
-                                  Event::Remove(4), Event::Add(2),
-                                  Event::Remove(2), Event::Add(2),
-                                  Event::Remove(4)});
-  EXPECT_EQ(p.generation(), before + 3);
-  EXPECT_EQ(p.Frequency(2), 2);
-  EXPECT_EQ(p.Frequency(4), -1);
-  EXPECT_TRUE(p.Validate().ok());
+  const uint64_t before = batched.generation();
+  batched.ApplyBatch(events);
+  EXPECT_EQ(batched.generation(), before + steps);
+  for (const Event& e : events) {
+    int32_t d = e.delta;
+    for (; d > 0; --d) looped.Add(e.id);
+    for (; d < 0; ++d) looped.Remove(e.id);
+  }
+  EXPECT_EQ(looped.generation(), batched.generation());
+  EXPECT_EQ(batched.ToFrequencies(), looped.ToFrequencies());
+  for (uint32_t rank = 0; rank < batched.capacity(); ++rank) {
+    EXPECT_EQ(batched.IdAtRank(rank), looped.IdAtRank(rank)) << rank;
+  }
+  EXPECT_EQ(batched.Frequency(3), 0);
+  EXPECT_EQ(batched.Frequency(2), 3);
+  EXPECT_EQ(batched.Frequency(4), -3);
+  EXPECT_TRUE(batched.Validate().ok());
 }
 #endif  // NDEBUG
 

@@ -146,7 +146,7 @@ TEST(CheckedProfileTest, TryApplyBatchIsAllOrNothing) {
       p.TryApplyBatch(std::vector<Event>{Event::Add(frozen_id)});
   EXPECT_EQ(frozen_status.code(), StatusCode::kFailedPrecondition);
 
-  // A fully valid batch applies through the coalescing path.
+  // A fully valid batch applies through the native batch path.
   std::vector<Event> good;
   for (uint32_t id = 0; id < 4; ++id) {
     if (id == frozen_id) continue;

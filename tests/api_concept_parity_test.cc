@@ -149,7 +149,7 @@ TYPED_TEST(ConceptParityTest, AgreesWithOracleOnWideIdSpace) {
 
 TYPED_TEST(ConceptParityTest, ApplyBatchMatchesLoopedApply) {
   const uint32_t m = 48;
-  // Batch sizes straddling typical coalescing regimes, including 1.
+  // Batch sizes from a single event up to a full warm-pass batch.
   for (uint64_t batch_size : {uint64_t{1}, uint64_t{7}, uint64_t{256}}) {
     const uint64_t n = 2048;
     stream::LogStreamGenerator gen_loop(

@@ -409,7 +409,7 @@ void RunEpochInterleave(cow::PageAllocatorRef alloc, bool expect_flat_possible,
         }
         break;
       }
-      case 5: {  // a coalescing batch with duplicate ids
+      case 5: {  // a batch with duplicate ids
         std::vector<Event> batch;
         const uint32_t n = 1 + rng.NextBounded(12);
         for (uint32_t k = 0; k < n; ++k) {
@@ -456,8 +456,7 @@ void RunEpochInterleave(cow::PageAllocatorRef alloc, bool expect_flat_possible,
   EXPECT_EQ(p.Histogram(), oracle.Histogram());
   EXPECT_EQ(p.total_count(), oracle.total_count());
 
-  // ApplyBatch coalesces duplicate ids, so applied +/-1 steps can be
-  // fewer than raw events — compare with that slack in mind.
+  // Every event is one +/-1 step; some of them ran on the flat kernel.
   EXPECT_LE(p.paged_updates(), total_updates);
   if (expect_flat_possible) {
     EXPECT_GT(flat_seen, 0u) << "flat epoch never observed";

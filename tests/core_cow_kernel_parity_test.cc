@@ -1,38 +1,32 @@
-// Kernel parity property suite (ISSUE 9) — every replay staging path the
-// vectorized flat update kernel adds must answer exactly like the scalar
-// kernel, which in turn must answer exactly like a plain per-id counter
-// oracle, under randomized update/snapshot interleavings.
-//
-// Gates, in order of importance:
-//   - TIER PARITY: the same seeded op stream driven through each available
-//     kernel tier (scalar, AVX2, AVX-512 — including switching tiers
-//     mid-stream) produces identical frequencies, totals, and snapshot
-//     contents. The staging layers (locality sort, radix partition, warm
-//     pass, gather pipeline) may permute ranks, never answers.
-//   - STAGING-PATH COVERAGE: the partition and gather-pipeline branches
-//     are gated on DRAM-scale m in production; the suite lowers those
-//     gates through internal::batch_gate_overrides so each branch runs —
-//     and gets diffed against the oracle — at unit-test scale.
-//   - FORCED REFLATTEN: a long-lived snapshot pins pages the gentle
-//     EnsureFlat probe can never reclaim; after kForceReflattenUpdates
-//     paged updates the profile must force its way back to the flat epoch
-//     (cow::PagedArray::ForceFlat) without perturbing the snapshot.
-//   - the heap-allocator fallback: flat never engages, answers identical.
+// Batch replay parity suite: FrequencyProfile::ApplyBatch must leave a
+// profile in exactly the state the same events leave it in when applied
+// one by one through Add/Remove — same frequencies, totals and histogram,
+// and (because the batch replays in arrival order) the same rank
+// permutation — on every storage epoch the update kernel runs on:
+//   - flat: an arena profile with no snapshot, the exclusive epoch;
+//   - paged: a fresh snapshot taken before every batch pins the pages;
+//   - forced: one snapshot held for the whole run, so TryReflatten has to
+//     force its way back to the flat epoch (cow::PagedArray::ForceFlat)
+//     without perturbing the snapshot;
+//   - heap: per-page heap allocations, where the flat epoch never engages.
+// Profile sizes straddle ApplyBatch's warm-pass gate (m >= 2^18, batches
+// of >= 256 events), and batches carry mixed-sign deltas, large ones
+// included, plus block-pool growth in the middle of a batch.
 //
 // The file name carries both "core" and "cow" on purpose: the ASan CI leg
 // runs -R "engine|core", the TSan leg -R "engine|cow|arena" — this suite
-// is the kernel parity gate under both sanitizers (ISSUE 9 acceptance).
+// is the batch parity gate under both sanitizers.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <deque>
 #include <memory>
+#include <optional>
+#include <span>
 #include <utility>
 #include <vector>
 
 #include "core/cow_pages.h"
-#include "core/flat_kernel.h"
 #include "core/frequency_profile.h"
 #include "core/page_arena.h"
 #include "sprofile/event.h"
@@ -41,207 +35,213 @@
 namespace sprofile {
 namespace {
 
+// ApplyBatch's warm-pass gate (frequency_profile.cc): profiles of at least
+// this many ids warm batches of at least kWarmBatch events.
+constexpr uint32_t kWarmM = 1u << 18;
+constexpr size_t kWarmBatch = 256;
+
 cow::PageAllocatorRef SmallArena() {
   return cow::MakeArenaPageAllocator(cow::ArenaOptions{
       .arena_bytes = 64 * 1024, .first_arena_bytes = 64 * 1024});
 }
 
-// Restores the detected kernel tier and the production gate constants no
-// matter how a test exits — a leaked override would silently change every
-// later suite in the same binary.
-struct KernelEnvGuard {
-  ~KernelEnvGuard() {
-    simd::ClearKernelTierOverride();
-    internal::batch_gate_overrides() = internal::BatchGateOverrides{};
-  }
-};
-
-// Which staging branch the run should steer replays into. Each entry
-// lowers exactly one production m-gate to 1 so the branch engages at
-// test-scale m; `defaults` leaves them alone (lean lookahead + warm pass).
-struct GateConfig {
-  const char* name;
-  internal::BatchGateOverrides overrides;
-};
-
-const GateConfig kGateConfigs[] = {
-    {"defaults", {}},
-    {"partition", {.partition_min_m = 1}},
-    {"gather_pipeline", {.gather_pipeline_min_m = 1}},
-    {"locality_sort", {.sort_locality_min_m = 1}},
-};
-
-std::vector<simd::KernelTier> AvailableTiers() {
-  std::vector<simd::KernelTier> tiers{simd::KernelTier::kScalar};
-  const simd::KernelTier top = simd::DetectKernelTier();
-  if (top >= simd::KernelTier::kAvx2) tiers.push_back(simd::KernelTier::kAvx2);
-  if (top >= simd::KernelTier::kAvx512) {
-    tiers.push_back(simd::KernelTier::kAvx512);
-  }
-  return tiers;
+cow::PageAllocatorRef Heap() {
+  return std::make_shared<cow::HeapPageAllocator>();
 }
 
-constexpr uint32_t kM = 4096;
-constexpr int kBatches = 160;
+// The reference: every event as |delta| single Add/Remove calls.
+void ApplyLooped(FrequencyProfile& p, std::span<const Event> events) {
+  for (const Event& e : events) {
+    int64_t d = e.delta;
+    for (; d > 0; --d) p.Add(e.id);
+    for (; d < 0; ++d) p.Remove(e.id);
+  }
+}
 
-// One held snapshot plus the frequencies it must keep answering forever.
-struct HeldSnapshot {
-  FrequencyProfile snap;
-  std::vector<int64_t> expected;
-};
+void ApplyToOracle(std::vector<int64_t>& oracle,
+                   std::span<const Event> events) {
+  for (const Event& e : events) oracle[e.id] += e.delta;
+}
 
-// Drives one seeded interleaving of ApplyBatch / singles / snapshot
-// take+drop against a plain counter oracle. `mixed_tiers` re-rolls the
-// kernel tier before every batch (parity must survive mid-stream
-// switches); otherwise the caller's override stays pinned.
-void RunParityInterleave(cow::PageAllocatorRef alloc, uint64_t seed,
-                         bool mixed_tiers,
-                         std::vector<int64_t>* final_freqs_out) {
-  const std::vector<simd::KernelTier> tiers = AvailableTiers();
-  FrequencyProfile p(kM, std::move(alloc));
-  p.set_batch_sort_threshold(32);  // engine-tunable; low so staging engages
-  std::vector<int64_t> oracle(kM, 0);
-  std::deque<HeldSnapshot> held;
+// Full-state comparison: the batch and the looped replay ran the same
+// unit steps in the same order, so even the rank permutation matches.
+void ExpectSameState(const FrequencyProfile& batched,
+                     const FrequencyProfile& looped,
+                     const std::vector<int64_t>& oracle) {
+  ASSERT_TRUE(batched.Validate().ok()) << batched.Validate().message();
+  ASSERT_TRUE(looped.Validate().ok()) << looped.Validate().message();
+  ASSERT_EQ(batched.ToFrequencies(), oracle);
+  ASSERT_EQ(looped.ToFrequencies(), oracle);
+  ASSERT_EQ(batched.total_count(), looped.total_count());
+  ASSERT_EQ(batched.Histogram(), looped.Histogram());
+  for (uint32_t rank = 0; rank < batched.capacity(); ++rank) {
+    ASSERT_EQ(batched.IdAtRank(rank), looped.IdAtRank(rank))
+        << "rank permutation diverged at rank " << rank;
+  }
+}
+
+// A batch of `n` events over [0, universe): deltas in ±[1, 3], and about
+// one event in 64 a ±1000 jump.
+std::vector<Event> RandomBatch(Xoshiro256PlusPlus& rng, size_t n,
+                               uint32_t universe) {
+  std::vector<Event> batch;
+  batch.reserve(n);
+  for (size_t i = 0; i < n; ++i) {
+    const uint32_t id = rng.NextBounded(universe);
+    const int32_t sign = rng.NextBounded(2) == 0 ? 1 : -1;
+    const int32_t size = rng.NextBounded(64) == 0
+                             ? 1000
+                             : static_cast<int32_t>(1 + rng.NextBounded(3));
+    batch.push_back(Event{id, sign * size});
+  }
+  return batch;
+}
+
+enum class Storage { kFlat, kPaged, kForced, kHeap };
+
+const char* StorageName(Storage s) {
+  switch (s) {
+    case Storage::kFlat:
+      return "flat";
+    case Storage::kPaged:
+      return "paged";
+    case Storage::kForced:
+      return "forced";
+    case Storage::kHeap:
+      return "heap";
+  }
+  return "?";
+}
+
+// Drives `batches` random batches through ApplyBatch on a profile of `m`
+// ids held in `storage`, and the same events through looped Add/Remove on
+// a heap-page reference. Batch sizes alternate below and at/above the
+// warm-pass batch floor; some batches narrow to a hot id range so ids
+// repeat within a batch.
+void RunParity(Storage storage, uint32_t m, int batches, uint64_t seed) {
+  SCOPED_TRACE(StorageName(storage));
+  SCOPED_TRACE(m);
+  FrequencyProfile batched(m, storage == Storage::kHeap ? Heap()
+                                                        : SmallArena());
+  FrequencyProfile looped(m, Heap());
+  std::vector<int64_t> oracle(m, 0);
   Xoshiro256PlusPlus rng(seed);
-  // Tier rolls come from their own stream so the op sequence stays
-  // draw-for-draw identical with the pinned-tier runs being diffed.
-  Xoshiro256PlusPlus tier_rng(Mix64(seed));
 
-  for (int b = 0; b < kBatches; ++b) {
-    if (mixed_tiers) {
-      simd::SetKernelTier(tiers[tier_rng.NextBounded(tiers.size())]);
-    }
-    const uint32_t r = rng.NextBounded(100);
-    if (r < 8) {
-      // Singles keep the non-batch Add/Remove kernel in the interleave.
-      for (int i = 0; i < 64; ++i) {
-        const uint32_t id = rng.NextBounded(kM);
-        if (rng.NextBounded(2) == 0) {
-          p.Add(id);
-          ++oracle[id];
-        } else {
-          p.Remove(id);
-          --oracle[id];
-        }
-      }
-    } else {
-      // Batch sizes straddle every gate: below batch_sort_threshold (32),
-      // above it, and above kWarmMinBatch (256). The id universe narrows
-      // on some batches so the coalescing pass sees real duplicate mass
-      // (and its EWMA keeps both the coalesced and direct replay paths
-      // alive across the run).
-      const size_t n = 1 + rng.NextBounded(rng.NextBounded(2) == 0
-                                               ? 48
-                                               : simd::kWarmMinBatch + 200);
-      const uint32_t universe =
-          rng.NextBounded(3) == 0 ? 1 + rng.NextBounded(64) : kM;
-      std::vector<Event> batch;
-      batch.reserve(n + 2);
-      for (size_t i = 0; i < n; ++i) {
-        const uint32_t id = rng.NextBounded(universe);
-        const int32_t delta =
-            static_cast<int32_t>(1 + rng.NextBounded(3)) *
-            (rng.NextBounded(2) == 0 ? 1 : -1);
-        batch.push_back(Event{id, delta});
-        oracle[id] += delta;
-      }
-      if (rng.NextBounded(4) == 0) {
-        // Self-cancelling pair: exercises the fused count-then-move
-        // netting (net zero must leave the id's block untouched).
-        const uint32_t id = rng.NextBounded(universe);
-        batch.push_back(Event{id, +2});
-        batch.push_back(Event{id, -2});
-      }
-      p.ApplyBatch(batch);
-    }
+  // kForced: one snapshot pins the starting state for the whole run.
+  std::optional<FrequencyProfile> held;
+  if (storage == Storage::kForced) held.emplace(batched.Snapshot());
 
-    // Snapshot churn: takes pin pages (ending any flat epoch), drops let
-    // the gentle re-flatten resume. Long-held ones force divergence.
-    if (rng.NextBounded(5) == 0 && held.size() < 4) {
-      held.push_back(HeldSnapshot{p.Snapshot(), oracle});
+  for (int b = 0; b < batches; ++b) {
+    SCOPED_TRACE(b);
+    const size_t n = b % 2 == 0 ? 1 + rng.NextBounded(kWarmBatch - 1)
+                                : kWarmBatch + rng.NextBounded(1024);
+    const uint32_t universe =
+        rng.NextBounded(3) == 0 ? 1 + rng.NextBounded(64) : m;
+    const std::vector<Event> batch = RandomBatch(rng, n, universe);
+
+    std::optional<FrequencyProfile> snap;
+    std::vector<int64_t> snap_expected;
+    if (storage == Storage::kPaged) {
+      snap.emplace(batched.Snapshot());
+      snap_expected = oracle;
+      ASSERT_FALSE(batched.storage_flat());
     }
-    if (rng.NextBounded(6) == 0 && !held.empty()) {
-      const HeldSnapshot& h = held.front();
-      ASSERT_EQ(h.snap.ToFrequencies(), h.expected)
-          << "dropped snapshot diverged (seed=" << seed << " batch=" << b
-          << ")";
-      held.pop_front();
+    if (storage == Storage::kFlat) {
+      ASSERT_TRUE(batched.TryReflatten()) << "no snapshot, yet not flat";
     }
-    if (b % 16 == 0) {
-      // Spot-check live answers mid-stream so a failure shrinks to the
-      // earliest divergent batch rather than only surfacing at the end.
-      for (int probe = 0; probe < 8; ++probe) {
-        const uint32_t id = rng.NextBounded(kM);
-        ASSERT_EQ(p.Frequency(id), oracle[id])
-            << "live frequency diverged (seed=" << seed << " batch=" << b
-            << " id=" << id << ")";
-      }
+    batched.ApplyBatch(batch);
+    ApplyLooped(looped, batch);
+    ApplyToOracle(oracle, batch);
+    if (snap.has_value()) {
+      ASSERT_EQ(snap->ToFrequencies(), snap_expected)
+          << "a batch leaked into a held snapshot";
     }
+    if (b % 8 == 7) ExpectSameState(batched, looped, oracle);
   }
+  ExpectSameState(batched, looped, oracle);
 
-  ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
-  ASSERT_EQ(p.ToFrequencies(), oracle) << "seed=" << seed;
-  int64_t total = 0;
-  for (const int64_t f : oracle) total += f;
-  ASSERT_EQ(p.total_count(), total) << "seed=" << seed;
-  for (const HeldSnapshot& h : held) {
-    ASSERT_EQ(h.snap.ToFrequencies(), h.expected)
-        << "held snapshot diverged (seed=" << seed << ")";
+  if (storage == Storage::kHeap) {
+    EXPECT_FALSE(batched.storage_flat()) << "heap pages must never go flat";
   }
-  if (final_freqs_out != nullptr) *final_freqs_out = p.ToFrequencies();
-}
-
-// The parity statement proper: for every staging configuration, every
-// available tier (pinned) plus a mixed-tier run reproduces the identical
-// final state on the identical seeded stream.
-void RunTierParity(bool heap_alloc, uint64_t seed) {
-  KernelEnvGuard guard;
-  for (const GateConfig& cfg : kGateConfigs) {
-    SCOPED_TRACE(cfg.name);
-    internal::batch_gate_overrides() = cfg.overrides;
-    std::vector<std::vector<int64_t>> results;
-    for (const simd::KernelTier tier : AvailableTiers()) {
-      SCOPED_TRACE(simd::KernelTierName(tier));
-      ASSERT_EQ(simd::SetKernelTier(tier), tier);
-      cow::PageAllocatorRef alloc =
-          heap_alloc ? std::make_shared<cow::HeapPageAllocator>()
-                     : SmallArena();
-      results.emplace_back();
-      RunParityInterleave(std::move(alloc), seed, /*mixed_tiers=*/false,
-                          &results.back());
-      if (results.size() > 1) {
-        ASSERT_EQ(results.back(), results.front())
-            << "tier diverged from scalar (seed=" << seed << ")";
-      }
-    }
-    simd::ClearKernelTierOverride();
-    std::vector<int64_t> mixed;
-    RunParityInterleave(heap_alloc
-                            ? cow::PageAllocatorRef(
-                                  std::make_shared<cow::HeapPageAllocator>())
-                            : SmallArena(),
-                        seed, /*mixed_tiers=*/true, &mixed);
-    ASSERT_EQ(mixed, results.front())
-        << "mid-stream tier switching diverged (seed=" << seed << ")";
+  if (held.has_value()) {
+    EXPECT_TRUE(batched.storage_flat())
+        << "forced reflatten never fired under the held snapshot";
+    EXPECT_EQ(held->ToFrequencies(), std::vector<int64_t>(m, 0))
+        << "forced divergence leaked into the held snapshot";
   }
 }
 
-TEST(KernelParityPropertyTest, ArenaTiersMatchOracle) {
-  RunTierParity(/*heap_alloc=*/false, 20260808);
+// Small enough that ApplyBatch never warms (m below the gate).
+constexpr uint32_t kSmallM = 4096;
+
+TEST(BatchParityTest, FlatBelowWarmGate) {
+  RunParity(Storage::kFlat, kSmallM, 96, 20260808);
+  RunParity(Storage::kFlat, kWarmM - 1, 16, 97);
 }
 
-TEST(KernelParityPropertyTest, ArenaTiersMatchOracleSecondSeed) {
-  RunTierParity(/*heap_alloc=*/false, 97);
+TEST(BatchParityTest, FlatAtAndAboveWarmGate) {
+  RunParity(Storage::kFlat, kWarmM, 16, 20260808);
+  RunParity(Storage::kFlat, kWarmM + 4096, 16, 97);
 }
 
-TEST(KernelParityPropertyTest, HeapTiersMatchOracle) {
-  // SupportsRuns() == false: the flat epoch never engages, every staged
-  // branch must fall through to the paged kernel with identical answers.
-  RunTierParity(/*heap_alloc=*/true, 20260808);
+TEST(BatchParityTest, PagedUnderSnapshotPerBatch) {
+  RunParity(Storage::kPaged, kSmallM, 64, 31337);
+  RunParity(Storage::kPaged, kWarmM, 12, 31337);
+}
+
+TEST(BatchParityTest, ForcedReflattenUnderHeldSnapshot) {
+  RunParity(Storage::kForced, kSmallM, 64, 4242);
+  RunParity(Storage::kForced, kWarmM, 16, 4242);
+}
+
+TEST(BatchParityTest, HeapPagesNeverFlat) {
+  RunParity(Storage::kHeap, kSmallM, 64, 777);
+  RunParity(Storage::kHeap, kWarmM, 12, 777);
+}
+
+// A staircase batch — event i lands on its own id at delta i + 1 — opens
+// one block per distinct frequency, far past the pool's reserved run, so
+// the flat epoch degrades in the middle of the batch and the next updates
+// run on the paged kernel. At kWarmM the warm pass has already staged
+// the whole batch against the flat bases.
+void RunPoolGrowth(uint32_t m, uint32_t steps, uint32_t stride) {
+  SCOPED_TRACE(m);
+  FrequencyProfile batched(m, SmallArena());
+  FrequencyProfile looped(m, Heap());
+  std::vector<int64_t> oracle(m, 0);
+  std::vector<Event> batch;
+  for (uint32_t i = 0; i < steps; ++i) {
+    const int32_t sign = i % 5 == 4 ? -1 : 1;
+    batch.push_back(Event{i * stride % m, sign * static_cast<int32_t>(i + 1)});
+  }
+  ASSERT_TRUE(batched.TryReflatten());
+  const size_t blocks_before = batched.num_blocks();
+  batched.ApplyBatch(batch);
+  ApplyLooped(looped, batch);
+  ApplyToOracle(oracle, batch);
+  // The paged kernel ran part of the batch (until its periodic probe
+  // re-flattened the grown pool).
+  EXPECT_GT(batched.paged_updates(), 0u)
+      << "the staircase never grew the block pool past its run";
+  EXPECT_GT(batched.num_blocks(), blocks_before + steps / 2);
+  ExpectSameState(batched, looped, oracle);
+  // The next batch re-enters the flat epoch and keeps parity.
+  Xoshiro256PlusPlus rng(m);
+  const std::vector<Event> next = RandomBatch(rng, kWarmBatch + 100, m);
+  batched.ApplyBatch(next);
+  ApplyLooped(looped, next);
+  ApplyToOracle(oracle, next);
+  EXPECT_TRUE(batched.storage_flat());
+  ExpectSameState(batched, looped, oracle);
+}
+
+TEST(BatchParityTest, PoolGrowthMidBatch) {
+  RunPoolGrowth(kSmallM, 2000, 1);
+  RunPoolGrowth(kWarmM, 2000, 97);
 }
 
 // ---------------------------------------------------------------------------
-// Forced reflatten (cow::PagedArray::ForceFlat) — the new escalation path.
+// Forced reflatten (cow::PagedArray::ForceFlat).
 // ---------------------------------------------------------------------------
 
 TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
@@ -275,7 +275,7 @@ TEST(KernelParityForceFlatTest, PagedArrayForceFlatEvictsPinnedSnapshot) {
 }
 
 TEST(KernelParityForceFlatTest, HeapForceFlatStaysPaged) {
-  auto alloc = std::make_shared<cow::HeapPageAllocator>();
+  auto alloc = Heap();
   cow::PagedArray<uint64_t> a(alloc, 1024);
   a.resize(1024);
   const cow::PagedArray<uint64_t> snap = a;
@@ -291,14 +291,12 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
   // never win; after kForceReflattenUpdates paged updates TryReflatten
   // must force the flat epoch back — with the snapshot still live and
   // still frozen.
-  KernelEnvGuard guard;
-  FrequencyProfile p(kM, SmallArena());
-  p.set_batch_sort_threshold(32);
-  std::vector<int64_t> oracle(kM, 0);
+  FrequencyProfile p(kSmallM, SmallArena());
+  std::vector<int64_t> oracle(kSmallM, 0);
   Xoshiro256PlusPlus rng(424242);
 
   // Seed some mass, enter the flat epoch, then pin it with a snapshot.
-  for (uint32_t id = 0; id < kM; ++id) {
+  for (uint32_t id = 0; id < kSmallM; ++id) {
     p.Add(id % 97);
     ++oracle[id % 97];
   }
@@ -312,7 +310,7 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
     std::vector<Event> batch;
     batch.reserve(400);
     for (int i = 0; i < 400; ++i) {
-      const uint32_t id = rng.NextBounded(kM);
+      const uint32_t id = rng.NextBounded(kSmallM);
       const int32_t delta = rng.NextBounded(2) == 0 ? 1 : -1;
       batch.push_back(Event{id, delta});
       oracle[id] += delta;
@@ -329,56 +327,29 @@ TEST(KernelParityForceFlatTest, ProfileForcesFlatUnderHeldSnapshot) {
       << "forced divergence leaked into a held snapshot";
 }
 
-TEST(KernelParityForceFlatTest, ForcedEpochParityAcrossTiers) {
-  // Same held-snapshot hammering, once per tier: the forced-flat epoch's
-  // staged replay must keep parity with the scalar kernel too.
-  KernelEnvGuard guard;
-  std::vector<std::vector<int64_t>> results;
-  for (const simd::KernelTier tier : AvailableTiers()) {
-    SCOPED_TRACE(simd::KernelTierName(tier));
-    ASSERT_EQ(simd::SetKernelTier(tier), tier);
-    FrequencyProfile p(kM, SmallArena());
-    p.set_batch_sort_threshold(32);
-    Xoshiro256PlusPlus rng(7777);
-    ASSERT_TRUE(p.TryReflatten());
-    const FrequencyProfile snap = p.Snapshot();
-    for (int b = 0; b < 48; ++b) {
-      std::vector<Event> batch;
-      batch.reserve(300);
-      for (int i = 0; i < 300; ++i) {
-        batch.push_back(Event{static_cast<uint32_t>(rng.NextBounded(kM)),
-                              rng.NextBounded(2) == 0 ? 1 : -1});
-      }
-      p.ApplyBatch(batch);
+TEST(KernelParityForceFlatTest, ForcedEpochMatchesLoopedReplay) {
+  // Same held-snapshot hammering: the forced-flat epoch's batch replay
+  // must match looped Add/Remove on the same stream.
+  FrequencyProfile p(kSmallM, SmallArena());
+  FrequencyProfile looped(kSmallM, SmallArena());
+  std::vector<int64_t> oracle(kSmallM, 0);
+  Xoshiro256PlusPlus rng(7777);
+  ASSERT_TRUE(p.TryReflatten());
+  const FrequencyProfile snap = p.Snapshot();
+  for (int b = 0; b < 48; ++b) {
+    std::vector<Event> batch;
+    batch.reserve(300);
+    for (int i = 0; i < 300; ++i) {
+      batch.push_back(Event{static_cast<uint32_t>(rng.NextBounded(kSmallM)),
+                            rng.NextBounded(2) == 0 ? 1 : -1});
     }
-    EXPECT_TRUE(p.storage_flat());
-    ASSERT_TRUE(p.Validate().ok()) << p.Validate().message();
-    results.push_back(p.ToFrequencies());
-    if (results.size() > 1) {
-      ASSERT_EQ(results.back(), results.front()) << "tier diverged";
-    }
-    EXPECT_EQ(snap.ToFrequencies(), std::vector<int64_t>(kM, 0));
+    p.ApplyBatch(batch);
+    ApplyLooped(looped, batch);
+    ApplyToOracle(oracle, batch);
   }
-}
-
-// ---------------------------------------------------------------------------
-// Tier override plumbing.
-// ---------------------------------------------------------------------------
-
-TEST(KernelTierTest, OverrideClampsToDetectedTier) {
-  KernelEnvGuard guard;
-  const simd::KernelTier top = simd::DetectKernelTier();
-  // Requesting more than the CPU has clamps; requesting scalar always
-  // sticks (the forced-scalar CI leg and bench A/B rely on both).
-  EXPECT_EQ(simd::SetKernelTier(simd::KernelTier::kAvx512),
-            top >= simd::KernelTier::kAvx512 ? simd::KernelTier::kAvx512
-                                             : top);
-  EXPECT_EQ(simd::SetKernelTier(simd::KernelTier::kScalar),
-            simd::KernelTier::kScalar);
-  EXPECT_EQ(simd::ActiveKernelTier(), simd::KernelTier::kScalar);
-  simd::ClearKernelTierOverride();
-  EXPECT_EQ(simd::ActiveKernelTier(), top);
-  EXPECT_STRNE(simd::KernelTierName(simd::ActiveKernelTier()), nullptr);
+  EXPECT_TRUE(p.storage_flat());
+  ExpectSameState(p, looped, oracle);
+  EXPECT_EQ(snap.ToFrequencies(), std::vector<int64_t>(kSmallM, 0));
 }
 
 }  // namespace

@@ -533,8 +533,7 @@ TEST(CheckedEngineTest, TryApplyBatchIsAllOrNothing) {
       ProfilerOptions().SetInitialCapacity(8),
       EngineOptions{.shards = 2,
                     .queue_capacity = 64,
-                    .drain_batch = 16,
-                    .batch_sort_threshold = 16});
+                    .drain_batch = 16});
   ASSERT_TRUE(made.ok());
   CheckedShardedProfiler checked = std::move(made).value();
 
@@ -612,33 +611,6 @@ TEST(EngineOptionsTest, ValidateRejectsBadMemoryLayerSettings) {
   o.pin_threads = true;
   o.shards = 1;  // 1 <= hardware_concurrency everywhere
   EXPECT_TRUE(o.Validate().ok());
-}
-
-TEST(EngineOptionsTest, ValidateRejectsBadBatchSortThreshold) {
-  EngineOptions o;
-  o.batch_sort_threshold = 0;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  // A threshold above the ring capacity could never trigger: no drained
-  // batch can exceed the ring.
-  o.batch_sort_threshold = o.queue_capacity + 1;
-  EXPECT_EQ(o.Validate().code(), StatusCode::kInvalidArgument);
-  o.batch_sort_threshold = o.queue_capacity;
-  EXPECT_TRUE(o.Validate().ok());
-  o.batch_sort_threshold = 1;
-  EXPECT_TRUE(o.Validate().ok());
-}
-
-TEST(EngineOptionsTest, BatchSortThresholdReachesShardBackends) {
-  // The worker forwards the option to each backend right after
-  // construction (TunesBatchPipeline); verify through the live profile
-  // and by ingesting across the threshold without disturbing answers.
-  EngineOptions options = SmallOptions(2);
-  options.batch_sort_threshold = 7;
-  ShardedProfiler engine(1024, options);
-  for (uint32_t id = 0; id < 1024; ++id) engine.Add(id % 64);
-  engine.Drain();
-  EXPECT_EQ(engine.total_count(), 1024);
-  EXPECT_EQ(engine.Mode(), 16);  // 1024 adds over 64 ids, uniform
 }
 
 TEST(EngineOptionsTest, ValidateRejectsPinningMoreShardsThanCores) {

@@ -29,11 +29,6 @@ checks (see tools/lint/README.md for the rationale behind each rule):
   tracked-build-artifacts
                       no build*/ tree is committed to the repository
                       (PR 6 accidentally committed build_review/)
-  intrinsics-confinement
-                      x86 SIMD intrinsics (<immintrin.h>, _mm*_ calls,
-                      __m256 types) appear only in src/core/flat_kernel.h
-                      — every other file inherits its runtime dispatch
-                      and scalar fallback instead of open-coding SIMD
 
 Exit status: 0 clean, 1 violations (printed one per line as
 path:line: [rule] message), 2 usage/internal error.
@@ -115,19 +110,6 @@ METRIC_NAME_RES = (
 FAILPOINT_SCAN_DIRS = ("src", "include")
 FAILPOINT_DOCS_PATH = "docs/ROBUSTNESS.md"
 FAILPOINT_SITE_RE = re.compile(r'SPROFILE_FAILPOINT\(\s*"([^"]+)"')
-
-# intrinsics-confinement: the one header allowed to spell x86 SIMD.
-# Everything else must call its dispatched wrappers, so the scalar
-# fallback, the forced-scalar build, and non-x86 ports never rot.
-# (cmake/probes/simd_kernel.cc mirrors the idiom at configure time; it
-# sits outside the scanned trees on purpose.)
-INTRINSICS_ALLOWED_FILES = {"src/core/flat_kernel.h"}
-INTRINSICS_SCAN_DIRS = ("src", "include", "tests", "bench", "examples",
-                        "tools")
-INTRINSICS_RE = re.compile(
-    r"#\s*include\s*<(?:immintrin|x86intrin|[xewpts]mmintrin|avx\w*intrin)"
-    r"\.h>|\b_mm(?:256|512)?_\w+\s*\(|\b__m(?:64|128|256|512)[di]?\b|"
-    r"\b__builtin_ia32_\w+")
 
 ATOMIC_CALL_RE = re.compile(
     r"\.\s*(load|store|exchange|fetch_add|fetch_sub|fetch_and|fetch_or|"
@@ -535,29 +517,6 @@ def rule_tracked_build_artifacts(root):
     return violations
 
 
-def rule_intrinsics_confinement(root):
-    violations = []
-    for reldir in INTRINSICS_SCAN_DIRS:
-        for rel in iter_files(root, reldir, (".h", ".cc", ".cpp")):
-            if rel in INTRINSICS_ALLOWED_FILES:
-                continue
-            # The selftest fixtures contain seeded violations by design;
-            # scanning tools/ must not flag them on the real repo.
-            if rel.startswith("tools/lint/fixtures/"):
-                continue
-            text = _strip_comments(read(root, rel) or "")
-            for i, line in enumerate(text.splitlines(), start=1):
-                if INTRINSICS_RE.search(line):
-                    violations.append(Violation(
-                        rel, i, "intrinsics-confinement",
-                        "x86 SIMD intrinsics outside src/core/"
-                        "flat_kernel.h — call its runtime-dispatched "
-                        "wrappers instead, so the scalar fallback and "
-                        "the SPROFILE_FORCE_SCALAR_KERNEL build keep "
-                        "covering this code path"))
-    return violations
-
-
 RULES = {
     "test-registration": rule_test_registration,
     "sanitizer-coverage": rule_sanitizer_coverage,
@@ -568,7 +527,6 @@ RULES = {
     "metric-docs": rule_metric_docs,
     "failpoint-docs": rule_failpoint_docs,
     "tracked-build-artifacts": rule_tracked_build_artifacts,
-    "intrinsics-confinement": rule_intrinsics_confinement,
 }
 
 # Fixture directory name per rule (dashes -> underscores).
