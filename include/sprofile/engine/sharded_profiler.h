@@ -33,9 +33,12 @@
 //   - Cross-shard reads are not a global atomic cut: a merged query can
 //     observe shard A at a later epoch than shard B.
 //   - Flush() is the read-your-writes barrier: on return, every event
-//     enqueued before the call is applied AND visible to queries.
+//     enqueued before the call is applied AND visible to queries. It
+//     waits for visibility only, not for the worker to free the snapshot
+//     the new one replaced.
 //   - Drain() additionally quiesces: it loops Flush until no new events
-//     arrived, leaving queues empty (assuming producers have stopped).
+//     arrived and waits out every worker-side retire, leaving queues
+//     empty and no free pending (assuming producers have stopped).
 //   - Degraded mode (docs/ROBUSTNESS.md): a shard whose worker dies is
 //     quarantined, not process-fatal — it sheds new events and serves
 //     its last published snapshot; barriers return without its epoch
@@ -178,7 +181,7 @@ cow::PageAllocatorRef MakeEngineArenaAllocator(const EngineOptions& options,
 /// Thread roles:
 ///   producers   Push(), enqueued()
 ///   worker      Run() — sole toucher of live_ after construction
-///   readers     snapshot(), applied(), WaitSnapshotAt()
+///   readers     snapshot(), applied(), WaitSnapshotAt(), WaitRetired()
 template <ShardBackend Backend>
 class ShardWorker {
  public:
@@ -423,6 +426,19 @@ class ShardWorker {
     }
   }
 
+  /// Blocks until the worker has retired the snapshot that the one at
+  /// the currently published epoch replaced: no worker-side free of it
+  /// is pending on return. Returns early if the worker quarantines, like
+  /// WaitSnapshotAt.
+  void WaitRetired() SPROFILE_EXCLUDES(done_mu_) {
+    const uint64_t target = published_epoch();
+    MutexLock lock(done_mu_);
+    while (retired_epoch_ < target &&
+           !quarantined_.load(std::memory_order_acquire)) {
+      done_cv_.Wait(done_mu_);
+    }
+  }
+
  private:
   void Run() {
     PinIfConfigured();
@@ -624,7 +640,9 @@ class ShardWorker {
     // The publish stall is everything between the worker pausing ingestion
     // and resuming it: producing the copy, swapping it in, and retiring
     // the previous snapshot (an O(m_s) free in deep-copy mode when no
-    // reader still holds it).
+    // reader still holds it). The epoch is published before the retire,
+    // so a Flush waiter pays for visibility only; Drain waits for the
+    // retire through retired_epoch_.
     const auto pause_start = std::chrono::steady_clock::now();
     auto snap = std::make_shared<const ShardSnapshot<Backend>>(
         ShardSnapshot<Backend>{epoch, MakePublishCopy()});
@@ -634,11 +652,22 @@ class ShardWorker {
       retired = std::move(snapshot_);
       snapshot_ = std::move(snap);
     }
-    retired.reset();  // old-snapshot teardown charged to the stall
-    const uint64_t pause_ns = static_cast<uint64_t>(
-        std::chrono::duration_cast<std::chrono::nanoseconds>(
-            std::chrono::steady_clock::now() - pause_start)
-            .count());
+    {
+      // Epoch advances under done_mu_ so WaitSnapshotAt cannot miss the
+      // notify between its condition check and its wait.
+      // orders: release pairs with WaitSnapshotAt's acquire load.
+      MutexLock lock(done_mu_);
+      snapshot_epoch_.store(epoch, std::memory_order_release);
+    }
+    const auto retire_start = std::chrono::steady_clock::now();
+    done_cv_.NotifyAll();
+    retired.reset();  // old-snapshot teardown, still charged to the stall
+    const auto retire_end = std::chrono::steady_clock::now();
+    const auto ns = [](auto d) {
+      return static_cast<uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(d).count());
+    };
+    const uint64_t pause_ns = ns(retire_end - pause_start);
     obs::Trace(obs::TraceEvent::kPublishEnd, static_cast<uint32_t>(epoch),
                pause_ns);
     SPROFILE_METRIC_COUNTER("sprofile_engine_publishes", "snapshots",
@@ -649,6 +678,11 @@ class ShardWorker {
           "sprofile_engine_publish_pause_ns", "ns",
           "Worker ingestion stall per snapshot publication")
           .Record(pause_ns);
+      SPROFILE_METRIC_HISTOGRAM(
+          "sprofile_engine_publish_retire_ns", "ns",
+          "Publish tail after the epoch is visible: notify plus retiring "
+          "the previous snapshot")
+          .Record(ns(retire_end - retire_start));
       MutexLock lock(snapshot_mu_);
       if (pause_ns_.size() < pause_capacity_) {
         pause_ns_.push_back(pause_ns);
@@ -657,11 +691,10 @@ class ShardWorker {
       }
     }
     {
-      // Epoch advances under done_mu_ so WaitSnapshotAt cannot miss the
-      // notify between its condition check and its wait.
-      // orders: release pairs with WaitSnapshotAt's acquire load.
+      // A Drain that sees this epoch under done_mu_ also sees the retire
+      // and every record above it.
       MutexLock lock(done_mu_);
-      snapshot_epoch_.store(epoch, std::memory_order_release);
+      retired_epoch_ = epoch;
     }
     done_cv_.NotifyAll();
   }
@@ -755,6 +788,9 @@ class ShardWorker {
   bool ready_ SPROFILE_GUARDED_BY(done_mu_) = false;
   std::exception_ptr init_error_ SPROFILE_GUARDED_BY(done_mu_);
   std::string quarantine_message_ SPROFILE_GUARDED_BY(done_mu_);
+  // Epoch of the last publish whose previous snapshot the worker has
+  // retired; trails snapshot_epoch_ by one publish tail at most.
+  uint64_t retired_epoch_ SPROFILE_GUARDED_BY(done_mu_) = 0;
   Mutex wake_mu_;
   CondVar wake_cv_;
 
@@ -908,7 +944,9 @@ class ShardedProfilerT {
   // ---------------------------------------------------------------------
 
   /// Read-your-writes: blocks until every event enqueued before this call
-  /// is applied and published in its shard's snapshot.
+  /// is applied and published in its shard's snapshot. It waits for
+  /// visibility only; the worker may still be freeing the snapshot the
+  /// new one replaced.
   void Flush() {
     std::vector<uint64_t> targets(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
@@ -920,11 +958,14 @@ class ShardedProfilerT {
   }
 
   /// Quiesce: Flush in a loop until no new events arrive during the
-  /// barrier. With producers stopped, queues are empty on return.
+  /// barrier, and wait out every worker-side retire of a replaced
+  /// snapshot. With producers stopped, queues are empty and no worker
+  /// free is pending on return.
   void Drain() {
     for (;;) {
       const uint64_t before = TotalEnqueued();
       Flush();
+      for (const auto& s : shards_) s->WaitRetired();
       if (TotalEnqueued() == before) return;
     }
   }

@@ -6,7 +6,8 @@
 //     final state diffed against the oracle (±1 events commute, so any
 //     interleaving must land on the same frequencies) — the CI TSan job
 //     runs this file as the data-race gate,
-//   - Flush() read-your-writes, epoch monotonicity,
+//   - Flush() read-your-writes, per-shard epoch monotonicity (also under
+//     concurrent ingestion), the Flush/Drain barrier split,
 //   - SaveAll/LoadAll round-trip and manifest validation,
 //   - the checked Try* twins' error codes,
 //   - facade construction (MakeShardedProfiler) validation.
@@ -18,13 +19,19 @@
 #include <cstdint>
 #include <filesystem>
 #include <fstream>
+#include <functional>
+#include <future>
+#include <span>
 #include <string>
 #include <thread>
+#include <utility>
 #include <vector>
 
 #include "core/page_arena.h"
 #include "sprofile/sprofile.h"
 #include "stream/log_stream.h"
+#include "util/sync.h"
+#include "util/thread_annotations.h"
 
 namespace sprofile {
 namespace engine {
@@ -180,17 +187,210 @@ TEST(ShardedProfilerTest, FlushIsReadYourWrites) {
 }
 
 TEST(ShardedProfilerTest, SnapshotEpochsAreMonotonic) {
+  // Per shard, not summed: a sum can rise while one shard's epoch falls.
   ShardedProfiler engine(16, SmallOptions(2));
-  uint64_t last = 0;
+  std::vector<uint64_t> last(2, 0);
   for (int round = 0; round < 10; ++round) {
     for (uint32_t id = 0; id < 16; ++id) engine.Add(id);
     engine.Flush();
-    uint64_t sum = 0;
-    for (const auto& snap : engine.SnapshotAll()) sum += snap->epoch;
-    EXPECT_GE(sum, last);
-    EXPECT_EQ(sum, static_cast<uint64_t>(16 * (round + 1)));
-    last = sum;
+    const auto snaps = engine.SnapshotAll();
+    ASSERT_EQ(snaps.size(), 2u);
+    for (uint32_t s = 0; s < 2; ++s) {
+      EXPECT_GE(snaps[s]->epoch, last[s]) << "shard " << s;
+      // 8 of each round's 16 ids route to each shard.
+      EXPECT_EQ(snaps[s]->epoch, static_cast<uint64_t>(8 * (round + 1)))
+          << "shard " << s;
+      last[s] = snaps[s]->epoch;
+    }
   }
+}
+
+// The concurrent half of the epoch contract: while producers ingest with
+// frequent interval publishes, a reader polling every shard never sees
+// that shard's snapshot epoch or published epoch go backwards, never sees
+// the published epoch ahead of the snapshot it can grab, and after a
+// final Flush both equal the events routed to the shard. Run under TSan.
+TEST(ShardedProfilerTest, ShardEpochsNeverGoBackwardsUnderConcurrentIngestion) {
+  constexpr uint32_t kCapacity = 300;
+  constexpr uint32_t kShards = 3;
+  constexpr uint32_t kProducers = 2;
+  constexpr uint32_t kEventsPerProducer = 20000;
+  ShardedProfiler engine(kCapacity,
+                         EngineOptions{.shards = kShards,
+                                       .queue_capacity = 1024,
+                                       .drain_batch = 32,
+                                       .snapshot_interval = 64});
+  std::vector<std::vector<Event>> slices;
+  std::vector<uint64_t> routed(kShards, 0);
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    std::vector<Event>& slice = slices.emplace_back();
+    for (uint32_t i = 0; i < kEventsPerProducer; ++i) {
+      const uint32_t id = (i * 31 + p * 7) % kCapacity;
+      slice.push_back(Event::Add(id));
+      ++routed[id % kShards];
+    }
+  }
+
+  std::atomic<bool> done{false};
+  std::thread reader([&engine, &done] {
+    std::vector<uint64_t> last_snapshot(kShards, 0);
+    std::vector<uint64_t> last_published(kShards, 0);
+    while (!done.load(std::memory_order_acquire)) {
+      for (uint32_t s = 0; s < kShards; ++s) {
+        const uint64_t published = engine.HealthOf(s).published_epoch;
+        const uint64_t snapshot = engine.ShardSnapshotOf(s)->epoch;
+        EXPECT_GE(published, last_published[s]) << "shard " << s;
+        EXPECT_GE(snapshot, last_snapshot[s]) << "shard " << s;
+        // The snapshot is swapped in before its epoch is published.
+        EXPECT_LE(published, snapshot) << "shard " << s;
+        last_published[s] = published;
+        last_snapshot[s] = snapshot;
+      }
+    }
+  });
+  std::vector<std::thread> producers;
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&engine, &slices, p] {
+      const std::vector<Event>& slice = slices[p];
+      for (size_t i = 0; i < slice.size(); i += 100) {
+        const size_t n = std::min<size_t>(100, slice.size() - i);
+        engine.ApplyBatch(std::span<const Event>(slice.data() + i, n));
+      }
+    });
+  }
+  for (auto& t : producers) t.join();
+  engine.Flush();
+  done.store(true, std::memory_order_release);
+  reader.join();
+
+  for (uint32_t s = 0; s < kShards; ++s) {
+    EXPECT_EQ(engine.ShardSnapshotOf(s)->epoch, routed[s]) << "shard " << s;
+    EXPECT_EQ(engine.HealthOf(s).published_epoch, routed[s]) << "shard " << s;
+  }
+}
+
+// ---------------------------------------------------------------------
+// Barrier split: Flush waits for visibility, Drain also for the retire.
+// ---------------------------------------------------------------------
+
+/// Holds the worker-side retire of one snapshot until the test opens it.
+/// Arm() closes the gate for the next gated destructor only; every other
+/// snapshot passes straight through.
+class RetireGate {
+ public:
+  void Arm() SPROFILE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    armed_ = true;
+    blocked_ = false;
+    open_ = false;
+  }
+
+  void Open() SPROFILE_EXCLUDES(mu_) {
+    {
+      MutexLock lock(mu_);
+      open_ = true;
+    }
+    cv_.NotifyAll();
+  }
+
+  /// Called from a snapshot destructor: blocks the armed retire.
+  void Pass() SPROFILE_EXCLUDES(mu_) {
+    MutexLock lock(mu_);
+    if (!armed_) return;
+    armed_ = false;
+    blocked_ = true;
+    cv_.NotifyAll();
+    while (!open_) cv_.Wait(mu_);
+  }
+
+  /// True once the armed retire is held at the gate, within `limit`.
+  bool WaitBlocked(std::chrono::milliseconds limit) SPROFILE_EXCLUDES(mu_) {
+    const auto deadline = std::chrono::steady_clock::now() + limit;
+    MutexLock lock(mu_);
+    while (!blocked_ && std::chrono::steady_clock::now() < deadline) {
+      cv_.WaitFor(mu_, deadline - std::chrono::steady_clock::now());
+    }
+    return blocked_;
+  }
+
+ private:
+  Mutex mu_;
+  CondVar cv_;
+  bool armed_ SPROFILE_GUARDED_BY(mu_) = false;
+  bool blocked_ SPROFILE_GUARDED_BY(mu_) = false;
+  bool open_ SPROFILE_GUARDED_BY(mu_) = true;
+};
+
+RetireGate& Gate() {
+  static RetireGate gate;
+  return gate;
+}
+
+/// adapters::Naive whose snapshot copies pass through Gate() when they
+/// are destroyed. The engine's worker destroys the replaced snapshot in
+/// Publish, so an armed gate stalls exactly that retire. Moved-from
+/// copies and live profiles are not gated.
+class GatedNaive : public Naive {
+ public:
+  explicit GatedNaive(uint32_t num_objects) : Naive(num_objects) {}
+  GatedNaive(GatedNaive&& other) noexcept
+      : Naive(std::move(other)), gated_(std::exchange(other.gated_, false)) {}
+  ~GatedNaive() {
+    if (gated_) Gate().Pass();
+  }
+
+  GatedNaive Clone() const { return GatedNaive(Naive::Clone()); }
+  GatedNaive Snapshot() const { return GatedNaive(Naive::Snapshot()); }
+
+ private:
+  explicit GatedNaive(Naive copy) : Naive(std::move(copy)), gated_(true) {}
+
+  bool gated_ = false;
+};
+
+static_assert(ShardBackend<GatedNaive>);
+
+/// Runs `barrier` on a helper thread; true when it returns within
+/// `limit`. On a timeout the gate is opened so the helper can finish
+/// before this returns.
+bool ReturnsWithin(std::chrono::milliseconds limit,
+                   const std::function<void()>& barrier) {
+  auto done = std::async(std::launch::async, barrier);
+  if (done.wait_for(limit) == std::future_status::ready) return true;
+  Gate().Open();
+  done.wait();
+  return false;
+}
+
+TEST(ShardedProfilerTest, FlushSkipsTheRetireThatDrainWaitsFor) {
+  constexpr auto kPatience = std::chrono::milliseconds(5000);
+  // Two shards: id 0 routes to shard 0, id 1 to shard 1.
+  ShardedProfilerT<GatedNaive> engine(8, SmallOptions(2));
+
+  // Shard 0's next publish retires its epoch-0 snapshot; hold that
+  // retire at the gate.
+  Gate().Arm();
+  engine.Add(0);
+  ASSERT_TRUE(ReturnsWithin(kPatience, [&engine] { engine.Flush(); }))
+      << "Flush waited for the retire of the replaced snapshot";
+  ASSERT_TRUE(Gate().WaitBlocked(kPatience));
+  EXPECT_EQ(engine.Frequency(0), 1);  // visible while the retire is held
+
+  // A barrier over events routed only to the other shard does not wait
+  // on shard 0's held retire either.
+  engine.Add(1);
+  EXPECT_TRUE(ReturnsWithin(kPatience, [&engine] { engine.Flush(); }))
+      << "Flush of shard 1 waited for shard 0's retire";
+  EXPECT_EQ(engine.Frequency(1), 1);
+
+  // Drain means quiescent: it returns only after the retire completes.
+  auto drain = std::async(std::launch::async, [&engine] { engine.Drain(); });
+  EXPECT_EQ(drain.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "Drain returned while a worker-side retire was pending";
+  Gate().Open();
+  EXPECT_EQ(drain.wait_for(kPatience), std::future_status::ready);
+  EXPECT_EQ(engine.total_count(), 2);
 }
 
 TEST(ShardedProfilerTest, QueriesNeverBlockIngestionSnapshotLags) {
