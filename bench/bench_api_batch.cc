@@ -12,7 +12,9 @@
 // tables should read about 1x: the batch path nets nothing away, and its
 // warm pass only engages at m >= 2^18.
 
+#include <algorithm>
 #include <cstdint>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -48,41 +50,46 @@ Sizes PickSizes(ScaleMode mode) {
 }
 
 // The single templated harness: replay through any Profiler-concept
-// backend, reading the mode once per batch.
+// backend in ApplyBatch chunks of `batch_size`, reading the mode once per
+// batch (the serving regime: ingestion batched, statistics read between
+// batches). The stream is generated outside the timer.
 template <typename Backend>
 double BackendBatchSeconds(const sprofile::stream::StreamConfig& config,
                            uint64_t n, uint64_t batch_size) {
   Backend backend(config.num_objects);
-  return ReplayBatchSeconds(config, n, batch_size, &backend,
-                            [](const Backend& b) { return b.Mode(); });
+  return TimedReplaySeconds(config, n, [&](std::span<const Event> chunk) {
+    for (size_t i = 0; i < chunk.size(); i += batch_size) {
+      backend.ApplyBatch(chunk.subspan(i, std::min<size_t>(batch_size,
+                                                           chunk.size() - i)));
+      Sink(backend.Mode());
+    }
+  });
 }
 
 void BackendTable(const Sizes& sizes) {
   const auto config =
       sprofile::stream::MakePaperStreamConfig(1, sizes.m, /*seed=*/11);
   const uint64_t batch = 512;
-  const double gen = GenerationOnlySeconds(config, sizes.n);
 
-  TablePrinter table({"backend", "net_secs", "vs_sprofile"});
+  TablePrinter table({"backend", "secs", "vs_sprofile"});
   const double sprofile_secs =
-      BackendBatchSeconds<adapters::SProfile>(config, sizes.n, batch) - gen;
+      BackendBatchSeconds<adapters::SProfile>(config, sizes.n, batch);
   table.AddRow({"SProfile", Secs(sprofile_secs), "1.0x"});
 
-  EmitJsonLine("bench_api_batch", "backend_net_s", sprofile_secs,
+  EmitJsonLine("bench_api_batch", "backend_s", sprofile_secs,
                {{"backend", "SProfile"}});
   auto add = [&](const char* name, double secs) {
     table.AddRow({name, Secs(secs), Speedup(secs, sprofile_secs)});
-    EmitJsonLine("bench_api_batch", "backend_net_s", secs, {{"backend", name}});
+    EmitJsonLine("bench_api_batch", "backend_s", secs, {{"backend", name}});
   };
-  add("Heap", BackendBatchSeconds<adapters::Heap>(config, sizes.n, batch) - gen);
-  add("Tree", BackendBatchSeconds<adapters::Tree>(config, sizes.n, batch) - gen);
+  add("Heap", BackendBatchSeconds<adapters::Heap>(config, sizes.n, batch));
+  add("Tree", BackendBatchSeconds<adapters::Tree>(config, sizes.n, batch));
   add("Skiplist",
-      BackendBatchSeconds<adapters::Skiplist>(config, sizes.n, batch) - gen);
+      BackendBatchSeconds<adapters::Skiplist>(config, sizes.n, batch));
 #if SPROFILE_HAVE_PBDS
-  add("Pbds", BackendBatchSeconds<adapters::Pbds>(config, sizes.n, batch) - gen);
+  add("Pbds", BackendBatchSeconds<adapters::Pbds>(config, sizes.n, batch));
 #endif
-  add("Keyed",
-      BackendBatchSeconds<adapters::Keyed>(config, sizes.n, batch) - gen);
+  add("Keyed", BackendBatchSeconds<adapters::Keyed>(config, sizes.n, batch));
 
   std::printf("## backends through the concept harness "
               "(stream1, m=%u, n=%llu, batch=%llu, query=Mode per batch)\n\n",
@@ -94,30 +101,22 @@ void BackendTable(const Sizes& sizes) {
 void BatchSweepTable(const Sizes& sizes) {
   const auto config =
       sprofile::stream::MakePaperStreamConfig(1, sizes.m, /*seed=*/12);
-  const double gen = GenerationOnlySeconds(config, sizes.n);
 
   TablePrinter table({"batch", "looped_secs", "applybatch_secs", "speedup"});
   for (const uint64_t batch : sizes.batch_sizes) {
-    // Looped: per-event Add/Remove, mode read at batch boundaries.
+    // Looped: per-event Apply, mode read at batch boundaries. kReplayChunk
+    // is a multiple of every batch size, so boundaries fall on the same
+    // events as ApplyBatch's.
     sprofile::FrequencyProfile looped(sizes.m);
-    sprofile::stream::LogStreamGenerator gen_loop(config);
-    WallTimer loop_timer;
-    int64_t acc = 0;
-    for (uint64_t i = 0; i < sizes.n; ++i) {
-      const auto t = gen_loop.Next();
-      looped.Apply(t.id, t.is_add);
-      if ((i + 1) % batch == 0) acc += looped.Mode().frequency;
-    }
-    Sink(acc);
-    const double loop_secs = loop_timer.ElapsedSeconds() - gen;
-
-    adapters::SProfile batched(sizes.m);
+    const double loop_secs =
+        TimedReplaySeconds(config, sizes.n, [&](std::span<const Event> chunk) {
+          for (size_t i = 0; i < chunk.size(); ++i) {
+            looped.Apply(chunk[i].id, chunk[i].delta > 0);
+            if ((i + 1) % batch == 0) Sink(looped.Mode().frequency);
+          }
+        });
     const double batch_secs =
-        ReplayBatchSeconds(config, sizes.n, batch, &batched,
-                           [](const adapters::SProfile& p) {
-                             return p.Mode();
-                           }) -
-        gen;
+        BackendBatchSeconds<adapters::SProfile>(config, sizes.n, batch);
     table.AddRow({std::to_string(batch), Secs(loop_secs), Secs(batch_secs),
                   Speedup(loop_secs, batch_secs)});
     EmitJsonLine("bench_api_batch", "looped_s", loop_secs,

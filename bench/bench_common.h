@@ -1,17 +1,19 @@
-// Shared harness for the figure-reproduction benchmarks.
+// Shared harness for the benches: size presets, timed replay of generated
+// streams, table formatting and JSON-line output.
 //
 // Scaling: the paper ran n, m up to 1e8 on a Xeon E5-2630. Every bench here
-// defaults to sizes that finish in seconds on a laptop/CI box and honours
+// defaults to sizes that finish in seconds to minutes and honours
 //   SPROFILE_PAPER_SCALE=1   — the paper's full sizes (minutes, gigabytes)
 //   SPROFILE_BENCH_QUICK=1   — extra-small smoke sizes (CI gate)
-// Absolute seconds differ from the paper by hardware; the *series shape*
-// (who wins, growth trend, crossover) is the reproduction target. See
-// EXPERIMENTS.md for paper-vs-measured.
+// Absolute seconds differ from the paper by hardware; the ratios and the
+// series shape (who wins, growth trend, crossover) are the reproduction
+// target. docs/REPRODUCTION.md holds bench_paper's measured tables and
+// describes its protocol.
 //
-// Measurement protocol: the event stream is regenerated per contestant from
-// the same seed (identical tuple sequences); a generation-only pass is
-// timed first and subtracted, so reported time covers profile updates +
-// per-event query only, with O(1) memory irrespective of n.
+// Measurement protocol: a stream is generated in chunks outside the timer
+// and only the replay of each chunk is timed (TimedReplaySeconds), so the
+// reported time is profile updates plus queries, and memory stays O(chunk)
+// irrespective of n.
 
 #ifndef SPROFILE_BENCH_BENCH_COMMON_H_
 #define SPROFILE_BENCH_BENCH_COMMON_H_
@@ -20,6 +22,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -59,64 +62,28 @@ inline const char* ScaleName(ScaleMode mode) {
 inline int64_t g_sink = 0;
 inline void Sink(int64_t v) { g_sink += v; }
 
-/// Seconds to merely generate (and discard) n tuples of `config`.
-inline double GenerationOnlySeconds(const stream::StreamConfig& config, uint64_t n) {
-  stream::LogStreamGenerator gen(config);
-  WallTimer timer;
-  int64_t acc = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    const stream::LogTuple t = gen.Next();
-    acc += t.id;
-  }
-  Sink(acc);
-  return timer.ElapsedSeconds();
-}
+/// Events generated per chunk by TimedReplaySeconds: 8 MiB of events, so
+/// memory stays O(chunk) at any n.
+inline constexpr uint64_t kReplayChunk = uint64_t{1} << 20;
 
-/// Replays n tuples into `profiler`, invoking `query(profiler)` after every
-/// event (the paper's "update the mode/median at any time" regime). Returns
-/// wall seconds for generation + replay; callers subtract the
-/// generation-only baseline measured with the same seed.
-template <typename Profiler, typename QueryFn>
-double ReplaySeconds(const stream::StreamConfig& config, uint64_t n,
-                     Profiler* profiler, QueryFn query) {
+/// Generates the first `n` events of `config` in chunks of kReplayChunk and
+/// hands each chunk to `replay`. Generation runs outside the timer: the
+/// result is the wall seconds spent inside `replay`, summed over chunks.
+template <typename ReplayFn>
+double TimedReplaySeconds(const stream::StreamConfig& config, uint64_t n,
+                          ReplayFn replay) {
   stream::LogStreamGenerator gen(config);
-  WallTimer timer;
-  int64_t acc = 0;
-  for (uint64_t i = 0; i < n; ++i) {
-    const stream::LogTuple t = gen.Next();
-    profiler->Apply(t.id, t.is_add);
-    acc += query(*profiler);
+  std::vector<Event> chunk;
+  chunk.reserve(std::min(n, kReplayChunk));
+  double secs = 0.0;
+  for (uint64_t done = 0; done < n; done += chunk.size()) {
+    chunk.clear();
+    gen.GenerateEvents(std::min(kReplayChunk, n - done), &chunk);
+    WallTimer timer;
+    replay(std::span<const Event>(chunk));
+    secs += timer.ElapsedSeconds();
   }
-  Sink(acc);
-  return timer.ElapsedSeconds();
-}
-
-/// Replays n tuples in ApplyBatch chunks of `batch_size`, invoking
-/// `query(profiler)` once per batch (the serving regime: ingestion batched,
-/// statistics read between batches). Works with any facade adapter or
-/// backend exposing ApplyBatch(std::span<const Event>). Returns wall
-/// seconds for generation + replay, like ReplaySeconds; subtract the
-/// generation-only baseline for net update cost.
-template <typename Profiler, typename QueryFn>
-double ReplayBatchSeconds(const stream::StreamConfig& config, uint64_t n,
-                          uint64_t batch_size, Profiler* profiler,
-                          QueryFn query) {
-  stream::LogStreamGenerator gen(config);
-  WallTimer timer;
-  int64_t acc = 0;
-  std::vector<Event> batch;
-  batch.reserve(batch_size);
-  uint64_t remaining = n;
-  while (remaining > 0) {
-    const uint64_t take = std::min(batch_size, remaining);
-    batch.clear();
-    gen.GenerateEvents(take, &batch);
-    profiler->ApplyBatch(batch);
-    acc += query(*profiler);
-    remaining -= take;
-  }
-  Sink(acc);
-  return timer.ElapsedSeconds();
+  return secs;
 }
 
 /// Prints the standard bench banner (scale mode + how to change it).

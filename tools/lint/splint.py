@@ -9,7 +9,7 @@ checks (see tools/lint/README.md for the rationale behind each rule):
   sanitizer-coverage  every registered test that spawns threads is
                       matched by BOTH sanitizer ctest regexes in CI
   bench-json          every bench/*.cc emits machine-readable JSON lines
-                      (EmitJsonLine or the bench_gbench_json.h reporter)
+                      (EmitJsonLine)
   atomic-orders       no implicit-memory-order atomic operation in the
                       lock-free cores (ring_buffer.h, cow_pages.h,
                       page_arena.h)
@@ -229,12 +229,12 @@ def rule_bench_json(root):
     violations = []
     for rel in iter_files(root, "bench", (".cc",)):
         text = read(root, rel) or ""
-        if "EmitJsonLine" in text or "bench_gbench_json.h" in text:
+        if "EmitJsonLine" in text:
             continue
         violations.append(Violation(
             rel, 1, "bench-json",
-            "bench emits no JSON lines (call EmitJsonLine or include "
-            "bench_gbench_json.h) — the trajectory tooling cannot "
+            "bench emits no JSON lines (call EmitJsonLine from "
+            "bench/bench_common.h) — the trajectory tooling cannot "
             "consume its output"))
     return violations
 
