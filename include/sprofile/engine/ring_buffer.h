@@ -173,6 +173,17 @@ class MpscRingBuffer {
     return full_rejections_.load(std::memory_order_relaxed);
   }
 
+  /// Items reserved by producers so far, cumulative: every item of a
+  /// TryPushSpan that has returned sits below this position, and the
+  /// consumer pops in position order. Reserved cells not yet written
+  /// belong to a producer that is writing them now.
+  uint64_t reserved() const {
+    // orders: acquire — a caller ordered after a producer's return (its
+    // own thread, or any synchronization with it) reads that producer's
+    // reservation or a later one; the CAS itself publishes no data.
+    return enqueue_pos_.load(std::memory_order_acquire);
+  }
+
   /// Approximate emptiness (exact when producers are quiesced).
   bool Empty() const {
     // orders: acquire on both — pairs with the consumer's dequeue_pos_

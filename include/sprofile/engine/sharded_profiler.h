@@ -181,7 +181,8 @@ cow::PageAllocatorRef MakeEngineArenaAllocator(const EngineOptions& options,
 /// Thread roles:
 ///   producers   Push(), enqueued()
 ///   worker      Run() — sole toucher of live_ after construction
-///   readers     snapshot(), applied(), WaitSnapshotAt(), WaitRetired()
+///   readers     snapshot(), applied(), RequestSnapshotAt(),
+///               AwaitSnapshotAt(), WaitRetired()
 template <ShardBackend Backend>
 class ShardWorker {
  public:
@@ -328,15 +329,18 @@ class ShardWorker {
                   std::chrono::steady_clock::now() - wait_start)
                   .count()));
     }
-    if (done > 0) {
-      enqueued_.fetch_add(done, std::memory_order_release);
-      WakeIfParked();
-    }
+    if (done > 0) WakeIfParked();
     if (done < n) RecordShed(n - done);
     return done;
   }
 
-  uint64_t enqueued() const { return enqueued_.load(std::memory_order_acquire); }
+  /// Events pushed into this shard's ring, counted in ring order: every
+  /// event of a Push that has returned is below it, so it is the epoch a
+  /// barrier waits for. A count bumped as each Push returns would not do:
+  /// it can count a producer whose events sit behind another producer's
+  /// still-unwritten ones, and a snapshot at that count holds the other
+  /// producer's events instead.
+  uint64_t enqueued() const { return queue_.reserved(); }
   uint64_t applied() const { return applied_.load(std::memory_order_acquire); }
 
   /// True once the worker has died on an uncaught drain failure. The
@@ -405,31 +409,46 @@ class ShardWorker {
     return pause_ns_;
   }
 
-  /// Blocks until a snapshot with epoch >= target is published. `target`
+  /// How long AwaitSnapshotAt polls before it sleeps on done_cv_: about
+  /// one publish. A condvar round trip to a sleeping waiter costs tens of
+  /// microseconds on a virtualized host, against well under one when the
+  /// waiter is still polling as the epoch lands.
+  static constexpr auto kAwaitSpin = std::chrono::microseconds(100);
+
+  /// First half of a barrier: asks the worker for a snapshot with epoch
+  /// >= target and wakes it if it is parked. Returns at once, so a
+  /// barrier can post to every shard before it waits on any. `target`
   /// must be <= enqueued() (otherwise nothing guarantees progress).
-  /// Returns early — without the epoch guarantee — if the worker
-  /// quarantines: a dead worker publishes nothing more, and barriers
-  /// (Flush/Drain) must not hang on it.
-  void WaitSnapshotAt(uint64_t target) SPROFILE_EXCLUDES(done_mu_) {
+  void RequestSnapshotAt(uint64_t target) {
     uint64_t cur = snapshot_target_.load(std::memory_order_relaxed);
+    // orders: release pairs with SnapshotDue's acquire load.
     while (cur < target && !snapshot_target_.compare_exchange_weak(
                                cur, target, std::memory_order_release)) {
     }
     WakeIfParked();
-    MutexLock lock(done_mu_);
-    // orders: acquire pairs with Publish's release store of
-    // snapshot_epoch_ — the published snapshot contents happen-before
-    // this waiter's reads.
-    while (snapshot_epoch_.load(std::memory_order_acquire) < target &&
-           !quarantined_.load(std::memory_order_acquire)) {
-      done_cv_.Wait(done_mu_);
+  }
+
+  /// Second half of a barrier: blocks until a snapshot with epoch >=
+  /// target is published. Polls for up to kAwaitSpin, then sleeps on
+  /// done_cv_. Returns early — without the epoch guarantee — if the
+  /// worker quarantines: a dead worker publishes nothing more, and
+  /// barriers (Flush/Drain) must not hang on it.
+  void AwaitSnapshotAt(uint64_t target) SPROFILE_EXCLUDES(done_mu_) {
+    if (Reached(target)) return;
+    const auto spin_end = std::chrono::steady_clock::now() + kAwaitSpin;
+    while (!Reached(target)) {
+      if (std::chrono::steady_clock::now() >= spin_end) {
+        MutexLock lock(done_mu_);
+        while (!Reached(target)) done_cv_.Wait(done_mu_);
+        return;
+      }
     }
   }
 
   /// Blocks until the worker has retired the snapshot that the one at
   /// the currently published epoch replaced: no worker-side free of it
   /// is pending on return. Returns early if the worker quarantines, like
-  /// WaitSnapshotAt.
+  /// AwaitSnapshotAt.
   void WaitRetired() SPROFILE_EXCLUDES(done_mu_) {
     const uint64_t target = published_epoch();
     MutexLock lock(done_mu_);
@@ -509,13 +528,9 @@ class ShardWorker {
         m_drained.Add(n);
         m_batches.Increment();
         // Backlog including the batch just popped (it is still the
-        // worker's unapplied debt). The subtraction can transiently go
-        // negative — Push bumps enqueued_ after the span lands, so the
-        // worker can apply events the counter has not admitted to yet —
-        // and UpdateMax ignores values below the current high water.
+        // worker's unapplied debt).
         m_depth_hw.UpdateMax(static_cast<int64_t>(
-            enqueued_.load(std::memory_order_relaxed) -
-            (applied_.load(std::memory_order_relaxed) - n)));
+            enqueued() - (applied_.load(std::memory_order_relaxed) - n)));
         since_snapshot += n;
         if (since_snapshot >= snapshot_interval_ || SnapshotDue()) {
           Publish();
@@ -523,7 +538,7 @@ class ShardWorker {
         }
         continue;
       }
-      // Queue drained. An explicit snapshot barrier (Flush/WaitSnapshotAt)
+      // Queue drained. An explicit snapshot barrier (RequestSnapshotAt)
       // publishes immediately; the freshness-only idle refresh is
       // deferred until a park expires — roughly a millisecond of genuine
       // idleness — so "write burst, then read" workloads still see fresh
@@ -579,9 +594,9 @@ class ShardWorker {
       MutexLock lock(done_mu_);
       quarantine_message_ = std::move(msg);
       // orders: release pairs with the acquire loads in Push, snapshot(),
-      // quarantined() and WaitSnapshotAt — whoever sees the flag also
-      // sees the message and the final snapshot state. Stored under
-      // done_mu_ so WaitSnapshotAt cannot miss the notify between its
+      // quarantined() and Reached — whoever sees the flag also sees the
+      // message and the final snapshot state. Stored under done_mu_ so a
+      // sleeping AwaitSnapshotAt cannot miss the notify between its
       // condition check and its wait.
       quarantined_.store(true, std::memory_order_release);
     }
@@ -591,6 +606,16 @@ class ShardWorker {
         "sprofile_engine_quarantines", "shards",
         "Shard workers quarantined after an uncaught drain failure")
         .Increment();
+  }
+
+  /// True once a barrier waiting for `target` may return: the epoch is
+  /// published, or the shard quarantined and will publish nothing more.
+  bool Reached(uint64_t target) const {
+    // orders: acquire pairs with Publish's release store of
+    // snapshot_epoch_ — the published snapshot contents happen-before the
+    // waiter's reads — and with Quarantine's release store.
+    return snapshot_epoch_.load(std::memory_order_acquire) >= target ||
+           quarantined_.load(std::memory_order_acquire);
   }
 
   /// A barrier asked for a snapshot at snapshot_target_ and enough events
@@ -653,9 +678,9 @@ class ShardWorker {
       snapshot_ = std::move(snap);
     }
     {
-      // Epoch advances under done_mu_ so WaitSnapshotAt cannot miss the
-      // notify between its condition check and its wait.
-      // orders: release pairs with WaitSnapshotAt's acquire load.
+      // Epoch advances under done_mu_ so a sleeping AwaitSnapshotAt
+      // cannot miss the notify between its condition check and its wait.
+      // orders: release pairs with Reached's acquire load.
       MutexLock lock(done_mu_);
       snapshot_epoch_.store(epoch, std::memory_order_release);
     }
@@ -743,8 +768,10 @@ class ShardWorker {
     if (parked_.load(std::memory_order_acquire)) {
       // Counted only when a notify is actually sent: the flag check above
       // runs on every producer Push and must stay a single load.
-      SPROFILE_METRIC_COUNTER("sprofile_engine_wakes", "wakes",
-                              "Producer wake notifications to parked workers")
+      SPROFILE_METRIC_COUNTER(
+          "sprofile_engine_wakes", "wakes",
+          "Wake notifications sent to parked workers by producers and "
+          "barriers")
           .Increment();
       MutexLock lock(wake_mu_);
       wake_cv_.NotifyOne();
@@ -764,20 +791,27 @@ class ShardWorker {
   // per publish/fault/arena-op, so a small window covers a post-mortem.
   obs::TraceRing trace_{1024};
 
-  std::atomic<uint64_t> enqueued_{0};
   std::atomic<uint64_t> applied_{0};
   std::atomic<uint64_t> snapshot_target_{0};
-  std::atomic<uint64_t> snapshot_epoch_{0};
   std::atomic<bool> stop_{false};
   std::atomic<bool> parked_{false};
-  std::atomic<bool> quarantined_{false};
   std::atomic<uint64_t> shed_{0};
+  // What a barrier waiter polls, alone on its cache line: a spinning
+  // AwaitSnapshotAt must not pull the line that every drained batch
+  // (applied_) writes. Both are written rarely: once per publish and
+  // once per quarantine.
+  alignas(kCacheLineBytes) std::atomic<uint64_t> snapshot_epoch_{0};
+  std::atomic<bool> quarantined_{false};
 
-  cow::PageAllocatorRef allocator_;     // may be null; stats only
+  // May be null; stats only. Aligned to close the waiters' line above.
+  alignas(kCacheLineBytes) cow::PageAllocatorRef allocator_;
   std::function<Backend()> factory_;    // consumed by the worker thread
   std::optional<Backend> live_;         // worker-private; built in Run()
 
-  mutable Mutex snapshot_mu_;
+  // Point lookups lock this once each. Aligned so the lock word and
+  // snapshot_ share no line with the tail of live_, which the worker
+  // writes on every paged update.
+  alignas(kCacheLineBytes) mutable Mutex snapshot_mu_;
   std::shared_ptr<const ShardSnapshot<Backend>> snapshot_
       SPROFILE_GUARDED_BY(snapshot_mu_);
   std::vector<uint64_t> pause_ns_ SPROFILE_GUARDED_BY(snapshot_mu_);
@@ -944,16 +978,28 @@ class ShardedProfilerT {
   // ---------------------------------------------------------------------
 
   /// Read-your-writes: blocks until every event enqueued before this call
-  /// is applied and published in its shard's snapshot. It waits for
+  /// is applied and published in its shard's snapshot. Every shard's
+  /// request is posted before any is awaited, so the workers publish in
+  /// parallel and a Flush costs one round trip to the slowest shard; a
+  /// shard already published at its target costs one load. It waits for
   /// visibility only; the worker may still be freeing the snapshot the
   /// new one replaced.
   void Flush() {
+    const uint64_t t0 = obs::Enabled() ? obs::TraceRing::NowNs() : 0;
     std::vector<uint64_t> targets(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
       targets[s] = shards_[s]->enqueued();
+      if (shards_[s]->published_epoch() < targets[s]) {
+        shards_[s]->RequestSnapshotAt(targets[s]);
+      }
     }
     for (size_t s = 0; s < shards_.size(); ++s) {
-      shards_[s]->WaitSnapshotAt(targets[s]);
+      shards_[s]->AwaitSnapshotAt(targets[s]);
+    }
+    if (t0 != 0) {
+      SPROFILE_METRIC_HISTOGRAM("sprofile_engine_flush_ns", "ns",
+                                "Flush barrier latency, per call")
+          .Record(obs::TraceRing::NowNs() - t0);
     }
   }
 

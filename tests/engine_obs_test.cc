@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <thread>
 #include <vector>
@@ -98,6 +99,28 @@ TEST(EngineObsTest, IngestionAndQueryCountersAdvance) {
   EXPECT_EQ(CounterValue("sprofile_engine_query_count") - q_count0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_topk") - q_topk0, 1u);
   EXPECT_EQ(CounterValue("sprofile_engine_query_histogram") - q_hist0, 1u);
+}
+
+// A barrier over shards already published at their targets costs one load
+// per shard: it posts no request, so it wakes none of the parked workers,
+// and each call still records one sprofile_engine_flush_ns sample.
+TEST(EngineObsTest, IdleFlushWakesNoWorker) {
+  constexpr uint32_t kCapacity = 256;
+  ShardedProfiler engine(
+      kCapacity, EngineOptions{.shards = 2,
+                               .queue_capacity = 1024,
+                               .drain_batch = 64,
+                               .snapshot_interval = 0});
+  engine.ApplyBatch(AddEvents(kCapacity, 1000));
+  engine.Drain();
+  // Let both workers run out of work and park.
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  const uint64_t wakes0 = CounterValue("sprofile_engine_wakes");
+  const uint64_t flushes0 = CounterValue("sprofile_engine_flush_ns");
+  for (int i = 0; i < 100; ++i) engine.Flush();
+  EXPECT_EQ(CounterValue("sprofile_engine_wakes"), wakes0);
+  EXPECT_EQ(CounterValue("sprofile_engine_flush_ns") - flushes0, 100u);
+  EXPECT_EQ(engine.total_count(), 1000);
 }
 
 TEST(EngineObsTest, CallbackGaugesTrackEngineStorageAndUnregister) {

@@ -6,7 +6,8 @@
 //     final state diffed against the oracle (±1 events commute, so any
 //     interleaving must land on the same frequencies) — the CI TSan job
 //     runs this file as the data-race gate,
-//   - Flush() read-your-writes, per-shard epoch monotonicity (also under
+//   - Flush() read-your-writes (also checked from concurrent producer and
+//     reader histories), per-shard epoch monotonicity (also under
 //     concurrent ingestion), the Flush/Drain barrier split,
 //   - SaveAll/LoadAll round-trip and manifest validation,
 //   - the checked Try* twins' error codes,
@@ -267,6 +268,104 @@ TEST(ShardedProfilerTest, ShardEpochsNeverGoBackwardsUnderConcurrentIngestion) {
     EXPECT_EQ(engine.ShardSnapshotOf(s)->epoch, routed[s]) << "shard " << s;
     EXPECT_EQ(engine.HealthOf(s).published_epoch, routed[s]) << "shard " << s;
   }
+}
+
+// Read-your-writes checked from concurrent histories. Each producer owns
+// the ids id % kProducers == p and adds to them round-robin, so "n events
+// pushed" fixes every one of its ids' frequencies. After each ApplyBatch
+// returns it release-stores n. Readers loop: acquire-load every
+// producer's n, Flush, then require every id's Frequency() and
+// total_count() to cover at least what those n pushed, and every shard's
+// published epoch to never go backwards. Producers keep pushing until
+// every reader has run all its barriers, and every producer's ids span
+// every shard, so a Flush that skips any shard's wait is caught. Run
+// under TSan.
+TEST(ShardedProfilerTest, FlushSeesEveryPushThatReturnedBeforeIt) {
+  constexpr uint32_t kShards = 3;
+  constexpr uint32_t kProducers = 2;
+  constexpr uint32_t kReaders = 2;
+  constexpr uint32_t kBarriersPerReader = 200;
+  constexpr uint32_t kIdsPerProducer = 30;
+  constexpr uint32_t kCapacity = kProducers * kIdsPerProducer;
+  constexpr uint32_t kBatch = 12;
+  ShardedProfiler engine(kCapacity, SmallOptions(kShards));
+  // Frequency of producer p's j-th id (global id p + j * kProducers)
+  // once p has pushed n events.
+  const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
+    return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
+                                kIdsPerProducer);
+  };
+
+  std::vector<std::atomic<uint64_t>> pushed(kProducers);
+  std::atomic<uint32_t> readers_left{kReaders};
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::vector<uint64_t> last_epoch(kShards, 0);
+      std::vector<uint64_t> before(kProducers);
+      for (uint32_t b = 0; b < kBarriersPerReader; ++b) {
+        for (uint32_t p = 0; p < kProducers; ++p) {
+          // orders: acquire pairs with the producer's release store.
+          before[p] = pushed[p].load(std::memory_order_acquire);
+        }
+        engine.Flush();
+        int64_t total = 0;
+        bool ok = true;
+        for (uint32_t p = 0; p < kProducers && ok; ++p) {
+          total += static_cast<int64_t>(before[p]);
+          for (uint32_t j = 0; j < kIdsPerProducer && ok; ++j) {
+            const uint32_t id = p + j * kProducers;
+            const int64_t f = engine.Frequency(id);
+            ok = f >= expected(before[p], j);
+            EXPECT_TRUE(ok) << "id " << id << " (shard " << engine.ShardOf(id)
+                            << ") reads " << f << " after a Flush called once "
+                            << before[p] << " events of producer " << p
+                            << " had returned; expected at least "
+                            << expected(before[p], j);
+          }
+        }
+        const int64_t seen = engine.total_count();
+        EXPECT_GE(seen, total) << "total_count after a Flush called once "
+                               << total << " events had returned";
+        for (uint32_t s = 0; s < kShards; ++s) {
+          const uint64_t epoch = engine.HealthOf(s).published_epoch;
+          EXPECT_GE(epoch, last_epoch[s]) << "shard " << s;
+          last_epoch[s] = epoch;
+        }
+        if (!ok || seen < total) break;
+      }
+      readers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::vector<std::thread> producers;
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<Event> batch;
+      uint64_t n = 0;
+      while (readers_left.load(std::memory_order_acquire) > 0) {
+        batch.clear();
+        for (uint32_t i = 0; i < kBatch; ++i, ++n) {
+          batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
+        }
+        engine.ApplyBatch(batch);
+        // orders: release pairs with the readers' acquire loads.
+        pushed[p].store(n, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  for (auto& t : producers) t.join();
+
+  engine.Flush();
+  int64_t total = 0;
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    const uint64_t n = pushed[p].load(std::memory_order_relaxed);
+    total += static_cast<int64_t>(n);
+    for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
+      EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+    }
+  }
+  EXPECT_EQ(engine.total_count(), total);
 }
 
 // ---------------------------------------------------------------------
