@@ -75,6 +75,7 @@
 #include "core/cow_pages.h"
 #include "sprofile/adapters.h"
 #include "sprofile/engine/engine_options.h"
+#include "sprofile/engine/hazard_slots.h"
 #include "sprofile/engine/ring_buffer.h"
 #include "sprofile/event.h"
 #include "sprofile/obs/metrics.h"
@@ -181,8 +182,8 @@ cow::PageAllocatorRef MakeEngineArenaAllocator(const EngineOptions& options,
 /// Thread roles:
 ///   producers   Push(), enqueued()
 ///   worker      Run() — sole toucher of live_ after construction
-///   readers     snapshot(), applied(), RequestSnapshotAt(),
-///               AwaitSnapshotAt(), WaitRetired()
+///   readers     snapshot(), SnapshotFrequency(), applied(),
+///               RequestSnapshotAt(), AwaitSnapshotAt(), WaitRetired()
 template <ShardBackend Backend>
 class ShardWorker {
  public:
@@ -214,6 +215,8 @@ class ShardWorker {
     stop_.store(true, std::memory_order_release);
     WakeIfParked();
     worker_.join();
+    // No lookup runs during destruction: nothing can name what is left.
+    retired_.clear();
   }
 
   /// Blocks until the worker has constructed its backend and published
@@ -385,16 +388,14 @@ class ShardWorker {
     return snapshot_;
   }
 
-  /// Frequency of local id `id` in the current snapshot, read while
-  /// holding snapshot_mu_ instead of copying the shared_ptr out: a point
-  /// lookup costs one lock round trip and no refcount traffic. Snapshots
-  /// are immutable and Publish takes the lock only for the pointer swap,
-  /// so a colliding publish waits for one lookup at most.
-  int64_t SnapshotFrequency(uint32_t id) const
-      SPROFILE_EXCLUDES(snapshot_mu_) {
+  /// Frequency of local id `id` in the current snapshot, read with no
+  /// lock and no refcount change: the calling thread's hazard slot names
+  /// the snapshot for the length of the lookup (hazard_slots.h), and the
+  /// worker frees a replaced snapshot only once no slot names it.
+  int64_t SnapshotFrequency(uint32_t id) const {
     CountStaleServe();
-    MutexLock lock(snapshot_mu_);
-    return snapshot_->profile.Frequency(id);
+    const HazardPointer<ShardSnapshot<Backend>> snap(current_);
+    return snap->profile.Frequency(id);
   }
 
   /// Publish pauses observed so far (ns the worker spent producing and
@@ -445,10 +446,9 @@ class ShardWorker {
     }
   }
 
-  /// Blocks until the worker has retired the snapshot that the one at
-  /// the currently published epoch replaced: no worker-side free of it
-  /// is pending on return. Returns early if the worker quarantines, like
-  /// AwaitSnapshotAt.
+  /// Blocks until the worker has freed every snapshot replaced up to the
+  /// currently published epoch: no worker-side free is pending on return.
+  /// Returns early if the worker quarantines, like AwaitSnapshotAt.
   void WaitRetired() SPROFILE_EXCLUDES(done_mu_) {
     const uint64_t target = published_epoch();
     MutexLock lock(done_mu_);
@@ -552,6 +552,15 @@ class ShardWorker {
       if (SnapshotDue()) {
         Publish();
         since_snapshot = 0;
+      }
+      // A point lookup still named a replaced snapshot when it was
+      // retired: retry the free before parking, so a Drain waits for it
+      // one park at most.
+      if (!retired_.empty()) {
+        ReclaimRetired();
+        if (retired_.empty()) {
+          MarkRetired(snapshot_epoch_.load(std::memory_order_relaxed));
+        }
       }
       // Idle storage maintenance: let the backend re-flatten toward its
       // exclusive-epoch layout while nothing is queued (deep-copy
@@ -663,19 +672,26 @@ class ShardWorker {
     const uint64_t epoch = applied_.load(std::memory_order_relaxed);
     obs::Trace(obs::TraceEvent::kPublishBegin, static_cast<uint32_t>(epoch));
     // The publish stall is everything between the worker pausing ingestion
-    // and resuming it: producing the copy, swapping it in, and retiring
-    // the previous snapshot (an O(m_s) free in deep-copy mode when no
-    // reader still holds it). The epoch is published before the retire,
-    // so a Flush waiter pays for visibility only; Drain waits for the
-    // retire through retired_epoch_.
+    // and resuming it: producing the copy, swapping it in, and freeing the
+    // replaced snapshots no lookup names (an O(m_s) free in deep-copy
+    // mode when no reader still holds it). The epoch is published before
+    // the free, so a Flush waiter pays for visibility only; Drain waits
+    // for the free through retired_epoch_.
     const auto pause_start = std::chrono::steady_clock::now();
     auto snap = std::make_shared<const ShardSnapshot<Backend>>(
         ShardSnapshot<Backend>{epoch, MakePublishCopy()});
-    std::shared_ptr<const ShardSnapshot<Backend>> retired;
+    // Room for the replaced snapshot now: a throw after the swap would
+    // free it while a lookup may still name it.
+    retired_.reserve(retired_.size() + 1);
     {
       MutexLock lock(snapshot_mu_);
-      retired = std::move(snapshot_);
+      if (snapshot_ != nullptr) retired_.push_back(std::move(snapshot_));
       snapshot_ = std::move(snap);
+      // orders: seq_cst — the reclaimer's half of the hazard Dekker pair
+      // (hazard_slots.h): it precedes the slot scan in ReclaimRetired in
+      // one total order with the readers' slot exchanges and re-loads.
+      // Also a release for the readers' acquire load of the new snapshot.
+      current_.store(snapshot_.get(), std::memory_order_seq_cst);
     }
     {
       // Epoch advances under done_mu_ so a sleeping AwaitSnapshotAt
@@ -686,7 +702,7 @@ class ShardWorker {
     }
     const auto retire_start = std::chrono::steady_clock::now();
     done_cv_.NotifyAll();
-    retired.reset();  // old-snapshot teardown, still charged to the stall
+    ReclaimRetired();  // old-snapshot teardown, still charged to the stall
     const auto retire_end = std::chrono::steady_clock::now();
     const auto ns = [](auto d) {
       return static_cast<uint64_t>(
@@ -715,9 +731,31 @@ class ShardWorker {
         pause_ns_[pause_ring_next_++ % pause_capacity_] = pause_ns;
       }
     }
+    if (retired_.empty()) MarkRetired(epoch);
+  }
+
+  /// Frees every retired snapshot that no hazard slot names and keeps
+  /// the rest for a later publish or idle pass. Runs after current_ has
+  /// moved off them. Worker thread only.
+  void ReclaimRetired() {
+    const HazardRegistry& hazards = HazardRegistry::Global();
+    std::erase_if(retired_, [&hazards](const auto& snap) {
+      return !hazards.Named(snap.get());
+    });
+    if (!retired_.empty()) {
+      SPROFILE_METRIC_COUNTER(
+          "sprofile_engine_retire_deferred", "snapshots",
+          "Snapshot frees a retire scan deferred because a point lookup "
+          "still named the snapshot, counted per snapshot per scan")
+          .Add(retired_.size());
+    }
+  }
+
+  /// Tells Drain that every snapshot replaced up to `epoch` is freed. A
+  /// Drain that sees the epoch under done_mu_ also sees the frees and
+  /// every record Publish made before this.
+  void MarkRetired(uint64_t epoch) SPROFILE_EXCLUDES(done_mu_) {
     {
-      // A Drain that sees this epoch under done_mu_ also sees the retire
-      // and every record above it.
       MutexLock lock(done_mu_);
       retired_epoch_ = epoch;
     }
@@ -808,22 +846,33 @@ class ShardWorker {
   std::function<Backend()> factory_;    // consumed by the worker thread
   std::optional<Backend> live_;         // worker-private; built in Run()
 
-  // Point lookups lock this once each. Aligned so the lock word and
-  // snapshot_ share no line with the tail of live_, which the worker
-  // writes on every paged update.
+  // snapshot() and the merged queries lock this; point lookups read
+  // current_ instead. Aligned so the lock word, snapshot_ and current_
+  // share no line with the tail of live_, which the worker writes on
+  // every paged update. current_ sits on the lock's line so that point
+  // lookups keep it warm for a reader's next merged query (perfbench
+  // zipf_serve topk_us and median_us read 0.91-0.94x against current_ on
+  // the waiters' line, in paired runs on a 4-vCPU KVM guest).
   alignas(kCacheLineBytes) mutable Mutex snapshot_mu_;
   std::shared_ptr<const ShardSnapshot<Backend>> snapshot_
       SPROFILE_GUARDED_BY(snapshot_mu_);
+  // Raw mirror of snapshot_ for the lock-free point lookup; stored right
+  // after each swap.
+  std::atomic<const ShardSnapshot<Backend>*> current_{nullptr};
   std::vector<uint64_t> pause_ns_ SPROFILE_GUARDED_BY(snapshot_mu_);
   size_t pause_ring_next_ = 0;  // worker-only
+  // Replaced snapshots not yet freed because a hazard slot named them at
+  // the last scan. Worker-only (the destructor clears it after the join).
+  std::vector<std::shared_ptr<const ShardSnapshot<Backend>>> retired_;
 
   mutable Mutex done_mu_;
   CondVar done_cv_;
   bool ready_ SPROFILE_GUARDED_BY(done_mu_) = false;
   std::exception_ptr init_error_ SPROFILE_GUARDED_BY(done_mu_);
   std::string quarantine_message_ SPROFILE_GUARDED_BY(done_mu_);
-  // Epoch of the last publish whose previous snapshot the worker has
-  // retired; trails snapshot_epoch_ by one publish tail at most.
+  // Epoch at which the worker last found retired_ empty: every snapshot
+  // replaced up to it is freed. Trails snapshot_epoch_ by one publish
+  // tail, or by one park while a lookup names a replaced snapshot.
   uint64_t retired_epoch_ SPROFILE_GUARDED_BY(done_mu_) = 0;
   Mutex wake_mu_;
   CondVar wake_cv_;

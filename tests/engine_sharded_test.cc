@@ -8,7 +8,8 @@
 //     runs this file as the data-race gate,
 //   - Flush() read-your-writes (also checked from concurrent producer and
 //     reader histories), per-shard epoch monotonicity (also under
-//     concurrent ingestion), the Flush/Drain barrier split,
+//     concurrent ingestion, and for lock-free point reads), the
+//     Flush/Drain barrier split, hazard-slot reclamation,
 //   - SaveAll/LoadAll round-trip and manifest validation,
 //   - the checked Try* twins' error codes,
 //   - facade construction (MakeShardedProfiler) validation.
@@ -22,8 +23,11 @@
 #include <fstream>
 #include <functional>
 #include <future>
+#include <memory>
+#include <optional>
 #include <span>
 #include <string>
+#include <string_view>
 #include <thread>
 #include <utility>
 #include <vector>
@@ -368,6 +372,98 @@ TEST(ShardedProfilerTest, FlushSeesEveryPushThatReturnedBeforeIt) {
   EXPECT_EQ(engine.total_count(), total);
 }
 
+// The point-read half of the epoch contract, from concurrent histories:
+// Frequency() serves the lock-free hazard path while interval publishes
+// (every 64 events) replace and free snapshots under it. Producers add
+// to disjoint ids and release-store their pushed counts, as above. Each
+// reader loops over every id: a value never decreases between two of its
+// reads (a lookup never lands on an older snapshot than the last one it
+// saw), and after each of its Flush calls every id covers what its
+// producer had returned. Run under TSan (and 20x in the tsan CI job).
+TEST(ShardedProfilerTest, PointReadsNeverGoBackwardsAndCoverReturnedPushes) {
+  constexpr uint32_t kShards = 2;
+  constexpr uint32_t kProducers = 2;
+  constexpr uint32_t kReaders = 2;
+  constexpr uint32_t kRoundsPerReader = 200;
+  constexpr uint32_t kIdsPerProducer = 40;
+  constexpr uint32_t kCapacity = kProducers * kIdsPerProducer;
+  constexpr uint32_t kBatch = 16;
+  ShardedProfiler engine(kCapacity, EngineOptions{.shards = kShards,
+                                                  .queue_capacity = 1024,
+                                                  .drain_batch = 32,
+                                                  .snapshot_interval = 64});
+  const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
+    return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
+                                kIdsPerProducer);
+  };
+
+  std::vector<std::atomic<uint64_t>> pushed(kProducers);
+  std::atomic<uint32_t> readers_left{kReaders};
+  std::vector<std::thread> readers;
+  for (uint32_t r = 0; r < kReaders; ++r) {
+    readers.emplace_back([&] {
+      std::vector<int64_t> last(kCapacity, 0);
+      std::vector<uint64_t> before(kProducers);
+      bool ok = true;
+      // Reads every id once; false on the first value below its floor.
+      const auto read_all = [&](bool after_flush) {
+        for (uint32_t id = 0; id < kCapacity; ++id) {
+          const int64_t f = engine.Frequency(id);
+          const uint32_t p = id % kProducers;
+          const int64_t covered = expected(before[p], id / kProducers);
+          const int64_t floor =
+              after_flush ? std::max(last[id], covered) : last[id];
+          if (f < floor) {
+            ADD_FAILURE() << "id " << id << " reads " << f << " below "
+                          << floor << (after_flush ? " after a Flush" : "")
+                          << " (previous read " << last[id] << ", producer "
+                          << p << " had returned " << before[p] << ")";
+            return false;
+          }
+          last[id] = f;
+        }
+        return true;
+      };
+      for (uint32_t round = 0; round < kRoundsPerReader && ok; ++round) {
+        ok = read_all(/*after_flush=*/false);
+        for (uint32_t p = 0; p < kProducers; ++p) {
+          // orders: acquire pairs with the producer's release store.
+          before[p] = pushed[p].load(std::memory_order_acquire);
+        }
+        engine.Flush();
+        ok = ok && read_all(/*after_flush=*/true);
+      }
+      readers_left.fetch_sub(1, std::memory_order_release);
+    });
+  }
+  std::vector<std::thread> producers;
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    producers.emplace_back([&, p] {
+      std::vector<Event> batch;
+      uint64_t n = 0;
+      while (readers_left.load(std::memory_order_acquire) > 0) {
+        batch.clear();
+        for (uint32_t i = 0; i < kBatch; ++i, ++n) {
+          batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
+        }
+        engine.ApplyBatch(batch);
+        // orders: release pairs with the readers' acquire loads.
+        pushed[p].store(n, std::memory_order_release);
+      }
+    });
+  }
+  for (auto& t : readers) t.join();
+  for (auto& t : producers) t.join();
+
+  engine.Flush();
+  for (uint32_t p = 0; p < kProducers; ++p) {
+    const uint64_t n = pushed[p].load(std::memory_order_relaxed);
+    for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
+      EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+    }
+  }
+}
+
 // ---------------------------------------------------------------------
 // Barrier split: Flush waits for visibility, Drain also for the retire.
 // ---------------------------------------------------------------------
@@ -490,6 +586,65 @@ TEST(ShardedProfilerTest, FlushSkipsTheRetireThatDrainWaitsFor) {
   Gate().Open();
   EXPECT_EQ(drain.wait_for(kPatience), std::future_status::ready);
   EXPECT_EQ(engine.total_count(), 2);
+}
+
+uint64_t CounterValue(std::string_view name) {
+  const obs::MetricsSnapshot snap = obs::Registry::Global().Snapshot();
+  const obs::MetricSample* s = snap.Find(name);
+  return s == nullptr ? 0 : s->count;
+}
+
+// The reclamation side of the lock-free point read: a hazard slot that
+// names a snapshot keeps it alive however many publishes replace it, the
+// worker frees it on its first pass after the slot clears, and Drain
+// does not return while the free is pending. The slot is this thread's,
+// set the way Frequency() sets it (watched through a weak_ptr).
+TEST(ShardedProfilerTest, HazardSlotDefersTheFreeOfTheSnapshotItNames) {
+  using Snap = ShardedProfiler::Snapshot;
+  constexpr auto kPatience = std::chrono::milliseconds(5000);
+  ShardedProfiler engine(8, SmallOptions(1));
+  // Names shard 0's current snapshot in this thread's slot; the
+  // shared_ptr keeps it alive until the slot does.
+  std::weak_ptr<const Snap> watched;
+  std::optional<internal::HazardPointer<Snap>> pin;
+  const auto pin_current = [&] {
+    const std::shared_ptr<const Snap> snap = engine.ShardSnapshotOf(0);
+    watched = snap;
+    const std::atomic<const Snap*> published{snap.get()};
+    pin.emplace(published);
+  };
+
+  // Freed by an idle pass: no publish follows the clear.
+  pin_current();
+  const uint64_t deferred0 = CounterValue("sprofile_engine_retire_deferred");
+  for (int i = 0; i < 3; ++i) {
+    engine.Add(1);
+    engine.Flush();
+  }
+  EXPECT_FALSE(watched.expired()) << "a named snapshot was freed";
+  EXPECT_GE(CounterValue("sprofile_engine_retire_deferred") - deferred0, 3u);
+  pin.reset();
+  const auto deadline = std::chrono::steady_clock::now() + kPatience;
+  while (!watched.expired() && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(watched.expired()) << "the idle worker kept a cleared snapshot";
+
+  // Drain means nothing pending: it waits out the slot, and returns only
+  // once the snapshot is freed.
+  pin_current();
+  engine.Add(2);
+  engine.Flush();
+  auto drain = std::async(std::launch::async, [&engine] { engine.Drain(); });
+  EXPECT_EQ(drain.wait_for(std::chrono::milliseconds(200)),
+            std::future_status::timeout)
+      << "Drain returned while a named snapshot was pending";
+  EXPECT_FALSE(watched.expired());
+  pin.reset();
+  ASSERT_EQ(drain.wait_for(kPatience), std::future_status::ready);
+  EXPECT_TRUE(watched.expired()) << "Drain returned with a free pending";
+  EXPECT_EQ(engine.Frequency(1), 3);
+  EXPECT_EQ(engine.Frequency(2), 1);
 }
 
 TEST(ShardedProfilerTest, QueriesNeverBlockIngestionSnapshotLags) {

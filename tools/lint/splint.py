@@ -12,7 +12,7 @@ checks (see tools/lint/README.md for the rationale behind each rule):
                       (EmitJsonLine)
   atomic-orders       no implicit-memory-order atomic operation in the
                       lock-free cores (ring_buffer.h, cow_pages.h,
-                      page_arena.h)
+                      page_arena.h, hazard_slots.h) and the obs paths
   facade-includes     public include/sprofile/ headers reach into
                       src/core only through the documented allowlist
   payload-alloc       page payload memory comes only from the two
@@ -85,10 +85,11 @@ PAYLOAD_FORBIDDEN = re.compile(
     r"\bmmap\s*\(|::operator new\b|\bstd::malloc\s*\(|\bmalloc\s*\(|"
     r"\bnew\s+(?:char|std::byte|uint8_t|unsigned char)\s*\[")
 
-# atomic-orders applies to the lock-free storage cores and the obs
-# record/trace paths, wherever they live under the scanned root.
+# atomic-orders applies to the lock-free storage cores, the engine's
+# hazard slots and the obs record/trace paths, wherever they live under
+# the scanned root.
 ATOMIC_ORDER_FILES = {"ring_buffer.h", "cow_pages.h", "page_arena.h",
-                      "metrics.h", "trace_ring.h"}
+                      "metrics.h", "trace_ring.h", "hazard_slots.h"}
 
 # metric-docs: where metric registrations live (tests may register
 # ad-hoc metrics without documenting them), and the catalog they must
