@@ -73,12 +73,14 @@ class SProfile : public ProfilerBase<SProfile> {
   /// Shadows the looped default with the native batch path.
   void ApplyBatch(std::span<const Event> events) { p_.ApplyBatch(events); }
 
-  /// Explicit deep copy (the engine's snapshot_mode=deep_copy path).
+  /// Explicit deep copy (how an engine shard at or under
+  /// kCopyPublishMaxBytes publishes).
   SProfile Clone() const { return SProfile(p_.Clone()); }
 
-  /// O(#pages) copy-on-write snapshot (the engine's default publish path):
-  /// shares storage pages with this profile; the first write to a shared
-  /// page copies just that page.
+  /// O(#pages) copy-on-write snapshot (how a larger engine shard
+  /// publishes, and every shard's epoch-0 snapshot): shares storage pages
+  /// with this profile; the first write to a shared page copies just that
+  /// page.
   SProfile Snapshot() const { return SProfile(p_.Snapshot()); }
 
   int64_t Frequency(uint32_t id) const { return p_.Frequency(id); }

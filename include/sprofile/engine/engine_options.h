@@ -16,19 +16,6 @@
 namespace sprofile {
 namespace engine {
 
-/// How a shard worker produces its published read snapshot.
-enum class SnapshotMode : uint8_t {
-  /// Full clone of the shard profile: an O(m_s) stop-the-shard pause per
-  /// publication. Kept as the baseline (and for backends whose Snapshot()
-  /// is itself a deep copy); bench_engine_scaling measures it against cow.
-  kDeepCopy,
-  /// Copy-on-write page sharing: publication is an O(#pages) pointer grab
-  /// and the worker pays one bounded page copy per page it first writes
-  /// after publishing. Bounds the publish stall independently of m_s and
-  /// makes small snapshot_interval values affordable. The default.
-  kCow,
-};
-
 /// Where a shard's COW storage pages come from (core/page_arena.h).
 enum class PageAllocatorKind : uint8_t {
   /// The build's default: a per-shard hugepage arena, except in ASan /
@@ -97,11 +84,6 @@ struct EngineOptions {
   /// for pure-ingestion workloads where publish cost must stay off the
   /// steady-state path entirely.
   uint32_t snapshot_interval = 1 << 18;
-
-  /// Snapshot publication strategy (see SnapshotMode). kCow bounds the
-  /// per-publication worker pause at O(#pages); kDeepCopy is the classic
-  /// O(m_s) clone.
-  SnapshotMode snapshot_mode = SnapshotMode::kCow;
 
   /// Page storage for each shard's profile (see PageAllocatorKind).
   /// Ignored by backends that do not take an injected allocator.

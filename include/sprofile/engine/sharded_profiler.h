@@ -100,7 +100,9 @@ namespace engine {
 /// from a capacity, and both snapshot primitives — Clone() as an explicit
 /// deep copy, Snapshot() as a frozen copy that may be read from other
 /// threads while the original keeps updating (copy-on-write for SProfile;
-/// a plain deep copy trivially satisfies the contract too).
+/// a plain deep copy trivially satisfies the contract too). A shard
+/// publishes by Clone() or Snapshot() according to its size
+/// (ShardWorker::MakePublishCopy).
 template <typename B>
 concept ShardBackend = FullProfiler<B> && std::constructible_from<B, uint32_t> &&
                        requires(const B& b) {
@@ -108,9 +110,9 @@ concept ShardBackend = FullProfiler<B> && std::constructible_from<B, uint32_t> &
                          { b.Snapshot() } -> std::same_as<B>;
                        };
 
-/// One shard's published read state: a frozen copy of its profile (deep or
-/// COW-shared per EngineOptions::snapshot_mode) plus the number of events
-/// that had been applied when the copy was taken.
+/// One shard's published read state: a frozen copy of its profile (deep
+/// or COW-shared by the shard's size; ShardWorker::MakePublishCopy) plus
+/// the number of events that had been applied when the copy was taken.
 template <ShardBackend Backend>
 struct ShardSnapshot {
   uint64_t epoch = 0;
@@ -200,7 +202,6 @@ class ShardWorker {
         snapshot_interval_(options.snapshot_interval == 0
                                ? std::numeric_limits<uint64_t>::max()
                                : options.snapshot_interval),
-        cow_snapshots_(options.snapshot_mode == SnapshotMode::kCow),
         overload_policy_(options.overload_policy),
         push_deadline_us_(options.push_deadline_us),
         pin_core_(pin_core),
@@ -472,7 +473,9 @@ class ShardWorker {
       // libnuma-free half of numa_policy=local).
       live_.emplace(factory_());
       factory_ = nullptr;  // release captured state (restored backends)
-      Publish(/*record_pause=*/false);  // the epoch-0 snapshot
+      copy_publish_ =
+          ProfileFootprintBytes(live_->capacity()) <= kCopyPublishMaxBytes;
+      Publish(/*initial=*/true);  // the epoch-0 snapshot
     } catch (...) {
       // Hand the failure to WaitReady (the engine constructor) instead of
       // letting it escape the thread function as std::terminate.
@@ -559,14 +562,16 @@ class ShardWorker {
       if (!retired_.empty()) {
         ReclaimRetired();
         if (retired_.empty()) {
+          SettleStorage();
           MarkRetired(snapshot_epoch_.load(std::memory_order_relaxed));
         }
       }
       // Idle storage maintenance: let the backend re-flatten toward its
-      // exclusive-epoch layout while nothing is queued (deep-copy
-      // snapshot mode and burst-idle COW workloads profit; under a live
-      // COW snapshot this is one witness poll). The backend also probes
-      // per drained batch inside its own ApplyBatch.
+      // exclusive-epoch layout while nothing is queued (copy-published
+      // shards, once their epoch-0 grab is gone, and burst-idle COW
+      // shards profit; under a live COW snapshot this is one witness
+      // poll). The backend also probes per drained batch inside its own
+      // ApplyBatch.
       if constexpr (MaintainsStorage<Backend>) {
         live_->MaintainStorage();
       }
@@ -635,10 +640,15 @@ class ShardWorker {
            applied_.load(std::memory_order_relaxed) >= target;
   }
 
-  /// The snapshot copy per the configured mode: COW page grab or deep
-  /// clone. Worker thread only (the backend lives there).
-  Backend MakePublishCopy() const {
-    return cow_snapshots_ ? live_->Snapshot() : live_->Clone();
+  /// The snapshot copy, chosen by the shard's storage footprint. At or
+  /// under kCopyPublishMaxBytes it is a deep copy (Clone): the live
+  /// profile then shares no page, so its writes never COW-fault, and the
+  /// O(m_s) copy costs less than those faults would. A larger shard grabs
+  /// its pages (Snapshot, O(#pages)). The epoch-0 snapshot is always a
+  /// grab: nothing has been written yet, so a copy would only first-touch
+  /// fresh memory. Worker thread only (the backend lives there).
+  Backend MakePublishCopy(bool initial) const {
+    return copy_publish_ && !initial ? live_->Clone() : live_->Snapshot();
   }
 
   void PinIfConfigured() {
@@ -667,19 +677,21 @@ class ShardWorker {
     }
   }
 
-  void Publish(bool record_pause = true)
+  /// Publishes a snapshot at the applied epoch. `initial` marks the
+  /// epoch-0 publish: always a page grab, and its pause is not recorded.
+  void Publish(bool initial = false)
       SPROFILE_EXCLUDES(snapshot_mu_, done_mu_) {
     const uint64_t epoch = applied_.load(std::memory_order_relaxed);
     obs::Trace(obs::TraceEvent::kPublishBegin, static_cast<uint32_t>(epoch));
     // The publish stall is everything between the worker pausing ingestion
     // and resuming it: producing the copy, swapping it in, and freeing the
-    // replaced snapshots no lookup names (an O(m_s) free in deep-copy
-    // mode when no reader still holds it). The epoch is published before
-    // the free, so a Flush waiter pays for visibility only; Drain waits
-    // for the free through retired_epoch_.
+    // replaced snapshots no lookup names (an O(m_s) free for a
+    // copy-published shard). The epoch is published before the free, so
+    // a Flush waiter pays for visibility only; Drain waits for the free
+    // through retired_epoch_.
     const auto pause_start = std::chrono::steady_clock::now();
     auto snap = std::make_shared<const ShardSnapshot<Backend>>(
-        ShardSnapshot<Backend>{epoch, MakePublishCopy()});
+        ShardSnapshot<Backend>{epoch, MakePublishCopy(initial)});
     // Room for the replaced snapshot now: a throw after the swap would
     // free it while a lookup may still name it.
     retired_.reserve(retired_.size() + 1);
@@ -703,6 +715,7 @@ class ShardWorker {
     const auto retire_start = std::chrono::steady_clock::now();
     done_cv_.NotifyAll();
     ReclaimRetired();  // old-snapshot teardown, still charged to the stall
+    if (retired_.empty()) SettleStorage();
     const auto retire_end = std::chrono::steady_clock::now();
     const auto ns = [](auto d) {
       return static_cast<uint64_t>(
@@ -714,7 +727,7 @@ class ShardWorker {
     SPROFILE_METRIC_COUNTER("sprofile_engine_publishes", "snapshots",
                             "Shard snapshot publications (epoch-0 included)")
         .Increment();
-    if (record_pause) {
+    if (!initial) {
       SPROFILE_METRIC_HISTOGRAM(
           "sprofile_engine_publish_pause_ns", "ns",
           "Worker ingestion stall per snapshot publication")
@@ -748,6 +761,18 @@ class ShardWorker {
           "Snapshot frees a retire scan deferred because a point lookup "
           "still named the snapshot, counted per snapshot per scan")
           .Add(retired_.size());
+    }
+  }
+
+  /// Runs once no replaced snapshot is left, before MarkRetired. A
+  /// copy-published shard shares pages with nothing but its epoch-0 grab,
+  /// so once that is gone it re-flattens here: its first burst's fault
+  /// copies are freed before Drain is told the retire is done, not on a
+  /// later idle tick. Afterwards, and on a COW shard, whose published
+  /// snapshot always pins its pages, this is one witness poll.
+  void SettleStorage() {
+    if constexpr (MaintainsStorage<Backend>) {
+      live_->MaintainStorage();
     }
   }
 
@@ -819,7 +844,6 @@ class ShardWorker {
   MpscRingBuffer<Event> queue_;
   const uint32_t drain_batch_;
   const uint64_t snapshot_interval_;
-  const bool cow_snapshots_;
   const OverloadPolicy overload_policy_;
   const uint32_t push_deadline_us_;  // kDeadline wait budget per Push
   const int pin_core_;  // -1 = unpinned
@@ -845,6 +869,7 @@ class ShardWorker {
   alignas(kCacheLineBytes) cow::PageAllocatorRef allocator_;
   std::function<Backend()> factory_;    // consumed by the worker thread
   std::optional<Backend> live_;         // worker-private; built in Run()
+  bool copy_publish_ = false;           // worker-only; set in Run()
 
   // snapshot() and the merged queries lock this; point lookups read
   // current_ instead. Aligned so the lock word, snapshot_ and current_
@@ -965,8 +990,8 @@ class ShardedProfilerT {
   }
 
   /// Slots shard s owns out of `capacity` under the stride partition.
-  static uint32_t ShardCapacity(uint32_t capacity, uint32_t shards,
-                                uint32_t s) {
+  static constexpr uint32_t ShardCapacity(uint32_t capacity,
+                                          uint32_t shards, uint32_t s) {
     return capacity > s ? (capacity - s - 1) / shards + 1 : 0;
   }
 
@@ -1035,7 +1060,10 @@ class ShardedProfilerT {
   /// new one replaced.
   void Flush() {
     const uint64_t t0 = obs::Enabled() ? obs::TraceRing::NowNs() : 0;
-    std::vector<uint64_t> targets(shards_.size());
+    // Per-thread scratch, as in ApplyBatch: both read-your-writes latency
+    // rows time this path, so it must not allocate per call.
+    thread_local std::vector<uint64_t> targets;
+    targets.resize(shards_.size());
     for (size_t s = 0; s < shards_.size(); ++s) {
       targets[s] = shards_[s]->enqueued();
       if (shards_[s]->published_epoch() < targets[s]) {
@@ -1148,8 +1176,8 @@ class ShardedProfilerT {
 
   /// Publish-pause samples (ns) from every shard, unordered: how long each
   /// snapshot publication stalled its worker's ingestion. This is the
-  /// metric bench_engine_scaling reports as the p99 snapshot-publish
-  /// stall; COW mode bounds it at O(#pages) per publication.
+  /// metric bench_engine_scaling reports as the snapshot-publish stall:
+  /// O(m_s) for a copy-published shard, O(#pages) for a COW one.
   std::vector<uint64_t> SnapshotPauseSamplesNs() const {
     std::vector<uint64_t> all;
     for (const auto& s : shards_) {

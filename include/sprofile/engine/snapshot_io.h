@@ -1,11 +1,12 @@
 // Engine durability: per-shard SPPF snapshots plus a manifest.
 //
 // SaveAll barriers the engine with Flush() — NOT Drain() — then serializes
-// each non-empty shard's *published snapshot* (a frozen COW page set under
-// the default snapshot_mode) as an ordinary SPPF image (core/profile_io.h)
-// into `dir`, and finally a text MANIFEST that binds them together.
-// Because the serialization reads frozen snapshot pages, ingestion keeps
-// running while the save is in flight: producers never wait on the disk.
+// each non-empty shard's *published snapshot* (a frozen copy, or a COW
+// page set for a shard over kCopyPublishMaxBytes) as an ordinary SPPF
+// image (core/profile_io.h) into `dir`, and finally a text MANIFEST that
+// binds them together. Because the serialization reads frozen snapshots,
+// ingestion keeps running while the save is in flight: producers never
+// wait on the disk.
 //
 // MANIFEST format (whitespace-separated records, no comments):
 //

@@ -180,6 +180,16 @@ constexpr uint64_t ProfileFootprintBytes(uint64_t num_objects) {
          (sizeof(internal::RankSlot) + sizeof(uint32_t) + sizeof(Block));
 }
 
+/// Largest ProfileFootprintBytes at which an engine shard publishes by
+/// deep copy (Clone) rather than by sharing its pages (Snapshot). Under
+/// it a copy costs less than the copy-on-write faults the shard's next
+/// writes would take; over it the O(m_s) copy dominates. Set from the
+/// copy-vs-COW sweep in bench_engine_scaling (docs/ENGINE.md): m_s = 2^15
+/// (0.875 MiB) is the largest size at which copying made both a
+/// 4096-event and a 64-event burst visible no later than COW did.
+inline constexpr uint64_t kCopyPublishMaxBytes =
+    ProfileFootprintBytes(uint64_t{1} << 15);
+
 /// The allocator a profile construction path uses when the caller passed
 /// none: the footprint-sized default for `num_objects` dense slots
 /// (cow::MakeProfileDefaultAllocator over ProfileFootprintBytes). The

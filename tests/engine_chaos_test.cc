@@ -42,6 +42,9 @@ namespace engine {
 namespace {
 
 constexpr uint32_t kCapacity = 96;
+// The most ids a shard can hold and still publish by copy.
+constexpr uint32_t kCopyIds =
+    static_cast<uint32_t>(kCopyPublishMaxBytes / ProfileFootprintBytes(1));
 
 failpoint::Registry& Fail() { return failpoint::Registry::Global(); }
 
@@ -74,20 +77,21 @@ uint64_t CounterValue(const char* name) {
 /// can layer rounds).
 void RunProducers(ShardedProfiler& engine, int threads, int per_thread,
                   std::vector<int64_t>* expected) {
+  const uint32_t capacity = engine.capacity();
   for (int t = 0; t < threads; ++t) {
     for (int i = 0; i < per_thread; ++i) {
-      (*expected)[static_cast<uint32_t>(i * 7 + t) % kCapacity] += 1;
+      (*expected)[static_cast<uint32_t>(i * 7 + t) % capacity] += 1;
     }
   }
   std::vector<std::thread> producers;
   producers.reserve(threads);
   for (int t = 0; t < threads; ++t) {
-    producers.emplace_back([&engine, t, per_thread] {
+    producers.emplace_back([&engine, t, per_thread, capacity] {
       std::vector<Event> span;
       span.reserve(64);
       for (int i = 0; i < per_thread; ++i) {
         span.push_back(
-            Event{static_cast<uint32_t>(i * 7 + t) % kCapacity, +1});
+            Event{static_cast<uint32_t>(i * 7 + t) % capacity, +1});
         if (span.size() == 64 || i + 1 == per_thread) {
           engine.ApplyBatch(span);
           span.clear();
@@ -236,33 +240,112 @@ TEST_F(EngineChaosTest, DrainFailureQuarantinesShardAndServesStale) {
 
 // The ladder's last rung before quarantine: when even the heap fallback
 // throws bad_alloc, exactly the worker that hit it quarantines — the
-// process survives and the other shards stay healthy.
+// process survives and the other shards stay healthy. The shards are
+// over the copy bound, so they publish by COW page grab and the failing
+// page is a write fault inside ApplyBatch, mid-batch.
 TEST_F(EngineChaosTest, UnrecoverableAllocFailureQuarantinesOneShard) {
-  ShardedProfiler engine(kCapacity, ChaosOptions());
-  std::vector<int64_t> expected(kCapacity, 0);
+  const EngineOptions options = ChaosOptions();
+  const uint32_t capacity = options.shards * (kCopyIds + 1);
+  ShardedProfiler engine(capacity, options);
+  std::vector<int64_t> expected(capacity, 0);
   RunProducers(engine, /*threads=*/2, /*per_thread=*/500, &expected);
-  engine.Drain();  // publishes, so the next writes must fault-copy pages
+  engine.Drain();
   ASSERT_TRUE(engine.Healthy());
 
   // Force every block allocation onto the heap rung, then poison the
   // heap once: the first worker that needs a page dies of bad_alloc.
+  // Every shard's published snapshot shares its pages, so that page is
+  // the copy its first write faults for.
   Fail().Activate("cow_page_alloc_fail", failpoint::Trigger::Always());
   Fail().Activate("heap_page_alloc_fail", failpoint::Trigger::Once());
   RunProducers(engine, /*threads=*/2, /*per_thread=*/500, &expected);
   engine.Flush();
   Fail().DeactivateAll();
 
-  EXPECT_EQ(engine.QuarantinedShards(), 1u);
+  ASSERT_EQ(engine.QuarantinedShards(), 1u);
+  // The failure hit while applying events, not inside a publish: the
+  // quarantined shard's last publish record before its quarantine is an
+  // end.
+  uint32_t dead = 0;
+  while (!engine.HealthOf(dead).quarantined) ++dead;
+  bool publish_open = false;
+  bool quarantined = false;
+  for (const obs::TraceRecord& r : engine.DumpTrace()) {
+    if (r.shard != dead || quarantined) continue;
+    if (r.event == obs::TraceEvent::kPublishBegin) publish_open = true;
+    if (r.event == obs::TraceEvent::kPublishEnd) publish_open = false;
+    if (r.event == obs::TraceEvent::kQuarantine) quarantined = true;
+  }
+  EXPECT_TRUE(quarantined);
+  EXPECT_FALSE(publish_open) << "the shard quarantined mid-publish";
+
   // The engine still serves every query without aborting; exact parity
   // is not owed (the dead shard lost its in-flight events) but no id may
   // exceed its oracle count and healthy shards must not be behind it.
   const std::vector<int64_t> served = FrequenciesOf(engine);
   int64_t total = 0;
-  for (uint32_t id = 0; id < kCapacity; ++id) {
+  for (uint32_t id = 0; id < capacity; ++id) {
     EXPECT_LE(served[id], expected[id]) << "id " << id;
     total += served[id];
   }
   EXPECT_EQ(total, engine.total_count());
+}
+
+// A shard under the copy bound allocates its whole next snapshot when it
+// publishes. If that allocation throws, it throws before the swap: the
+// shard quarantines and keeps serving the snapshot it had, while its
+// siblings keep ingesting.
+TEST_F(EngineChaosTest, CopyPublishAllocFailureServesThePreviousSnapshot) {
+  EngineOptions options = ChaosOptions();
+  options.page_allocator = PageAllocatorKind::kHeap;
+  ShardedProfiler engine(kCapacity, options);
+  std::vector<int64_t> expected(kCapacity, 0);
+  RunProducers(engine, /*threads=*/2, /*per_thread=*/500, &expected);
+  // Replaces every epoch-0 page grab, so no live page is shared and the
+  // writes below allocate nothing: the next allocation is a publish's.
+  engine.Drain();
+  ASSERT_TRUE(engine.Healthy());
+  ASSERT_EQ(FrequenciesOf(engine), expected);
+  const uint64_t epoch = engine.HealthOf(0).published_epoch;
+
+  // Events for shard 0 only, so its publish is the one that allocates.
+  std::vector<Event> burst;
+  for (uint32_t id = 0; id < kCapacity; id += engine.num_shards()) {
+    burst.push_back(Event::Add(id));
+  }
+  Fail().Activate("heap_page_alloc_fail", failpoint::Trigger::Once());
+  engine.ApplyBatch(burst);
+  engine.Flush();
+  Fail().DeactivateAll();
+
+  const ShardHealth health = engine.HealthOf(0);
+  ASSERT_TRUE(health.quarantined);
+  EXPECT_EQ(engine.QuarantinedShards(), 1u);
+  EXPECT_FALSE(health.message.empty());
+  EXPECT_EQ(health.published_epoch, epoch);
+  // The previous snapshot still answers, unchanged.
+  EXPECT_EQ(FrequenciesOf(engine), expected);
+
+  // The failure hit inside the publish: shard 0's last publish record
+  // before its quarantine is a begin with no end.
+  bool publish_open = false;
+  bool quarantined = false;
+  for (const obs::TraceRecord& r : engine.DumpTrace()) {
+    if (r.shard != 0 || quarantined) continue;
+    if (r.event == obs::TraceEvent::kPublishBegin) publish_open = true;
+    if (r.event == obs::TraceEvent::kPublishEnd) publish_open = false;
+    if (r.event == obs::TraceEvent::kQuarantine) quarantined = true;
+  }
+  EXPECT_TRUE(quarantined);
+  EXPECT_TRUE(publish_open) << "the shard did not quarantine mid-publish";
+
+  // The siblings are untouched and keep read-your-writes.
+  EXPECT_TRUE(engine.Add(1));
+  EXPECT_TRUE(engine.Add(2));
+  engine.Flush();
+  expected[1] += 1;
+  expected[2] += 1;
+  EXPECT_EQ(FrequenciesOf(engine), expected);
 }
 
 // Snapshot IO failpoints degrade to clean Status: a poisoned save leaves

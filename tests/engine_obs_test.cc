@@ -155,13 +155,16 @@ TEST(EngineObsTest, CallbackGaugesTrackEngineStorageAndUnregister) {
 }
 
 TEST(EngineObsTest, DumpTraceShowsPublishLifecyclePerShard) {
-  constexpr uint32_t kCapacity = 1024;
+  // One id over the copy bound: the shard publishes by COW page grab, so
+  // the writes after each publish fault.
+  constexpr uint32_t kCapacity =
+      static_cast<uint32_t>(kCopyPublishMaxBytes / ProfileFootprintBytes(1)) +
+      1;
   ShardedProfiler engine(
       kCapacity, EngineOptions{.shards = 1,
                                .queue_capacity = 1024,
                                .drain_batch = 64,
-                               .snapshot_interval = 64,
-                               .snapshot_mode = SnapshotMode::kCow});
+                               .snapshot_interval = 64});
   engine.ApplyBatch(AddEvents(kCapacity, 2048));
   engine.Drain();
 
@@ -186,7 +189,8 @@ TEST(EngineObsTest, DumpTraceShowsPublishLifecyclePerShard) {
   EXPECT_GE(ends, 1u);
   // Quiesced engine: the newest publish carries the final applied epoch.
   EXPECT_EQ(last_end_epoch, static_cast<uint32_t>(engine.TotalApplied()));
-  // COW mode with a publish per batch: post-publish writes must fault.
+  // COW publishing with a publish per batch: post-publish writes must
+  // fault.
   EXPECT_GE(faults, 1u);
 
   // The merged timeline is time-ordered and renderable.

@@ -48,6 +48,12 @@ static_assert(FullProfiler<ShardedProfiler>);
 static_assert(ShardBackend<adapters::SProfile>);
 static_assert(ShardBackend<Naive>);
 
+// The most ids a shard can hold and still publish by copy; one more and
+// it publishes by COW page grab. The concurrency histories run on both
+// sides of this bound.
+constexpr uint32_t kCopyIds =
+    static_cast<uint32_t>(kCopyPublishMaxBytes / ProfileFootprintBytes(1));
+
 EngineOptions SmallOptions(uint32_t shards) {
   return EngineOptions{.shards = shards,
                        .queue_capacity = 1024,
@@ -290,86 +296,91 @@ TEST(ShardedProfilerTest, FlushSeesEveryPushThatReturnedBeforeIt) {
   constexpr uint32_t kReaders = 2;
   constexpr uint32_t kBarriersPerReader = 200;
   constexpr uint32_t kIdsPerProducer = 30;
-  constexpr uint32_t kCapacity = kProducers * kIdsPerProducer;
+  constexpr uint32_t kIds = kProducers * kIdsPerProducer;
   constexpr uint32_t kBatch = 12;
-  ShardedProfiler engine(kCapacity, SmallOptions(kShards));
-  // Frequency of producer p's j-th id (global id p + j * kProducers)
-  // once p has pushed n events.
-  const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
-    return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
-                                kIdsPerProducer);
-  };
+  // Every shard under the copy bound (copy publishes), then every
+  // shard over it (COW page grabs).
+  for (const uint32_t capacity : {kIds, kShards * (kCopyIds + 1)}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    ShardedProfiler engine(capacity, SmallOptions(kShards));
+    // Frequency of producer p's j-th id (global id p + j * kProducers)
+    // once p has pushed n events.
+    const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
+      return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
+                                  kIdsPerProducer);
+    };
 
-  std::vector<std::atomic<uint64_t>> pushed(kProducers);
-  std::atomic<uint32_t> readers_left{kReaders};
-  std::vector<std::thread> readers;
-  for (uint32_t r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      std::vector<uint64_t> last_epoch(kShards, 0);
-      std::vector<uint64_t> before(kProducers);
-      for (uint32_t b = 0; b < kBarriersPerReader; ++b) {
-        for (uint32_t p = 0; p < kProducers; ++p) {
-          // orders: acquire pairs with the producer's release store.
-          before[p] = pushed[p].load(std::memory_order_acquire);
-        }
-        engine.Flush();
-        int64_t total = 0;
-        bool ok = true;
-        for (uint32_t p = 0; p < kProducers && ok; ++p) {
-          total += static_cast<int64_t>(before[p]);
-          for (uint32_t j = 0; j < kIdsPerProducer && ok; ++j) {
-            const uint32_t id = p + j * kProducers;
-            const int64_t f = engine.Frequency(id);
-            ok = f >= expected(before[p], j);
-            EXPECT_TRUE(ok) << "id " << id << " (shard " << engine.ShardOf(id)
-                            << ") reads " << f << " after a Flush called once "
-                            << before[p] << " events of producer " << p
-                            << " had returned; expected at least "
-                            << expected(before[p], j);
+    std::vector<std::atomic<uint64_t>> pushed(kProducers);
+    std::atomic<uint32_t> readers_left{kReaders};
+    std::vector<std::thread> readers;
+    for (uint32_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        std::vector<uint64_t> last_epoch(kShards, 0);
+        std::vector<uint64_t> before(kProducers);
+        for (uint32_t b = 0; b < kBarriersPerReader; ++b) {
+          for (uint32_t p = 0; p < kProducers; ++p) {
+            // orders: acquire pairs with the producer's release store.
+            before[p] = pushed[p].load(std::memory_order_acquire);
           }
+          engine.Flush();
+          int64_t total = 0;
+          bool ok = true;
+          for (uint32_t p = 0; p < kProducers && ok; ++p) {
+            total += static_cast<int64_t>(before[p]);
+            for (uint32_t j = 0; j < kIdsPerProducer && ok; ++j) {
+              const uint32_t id = p + j * kProducers;
+              const int64_t f = engine.Frequency(id);
+              ok = f >= expected(before[p], j);
+              EXPECT_TRUE(ok) << "id " << id << " (shard " << engine.ShardOf(id)
+                              << ") reads " << f << " after a Flush called once "
+                              << before[p] << " events of producer " << p
+                              << " had returned; expected at least "
+                              << expected(before[p], j);
+            }
+          }
+          const int64_t seen = engine.total_count();
+          EXPECT_GE(seen, total) << "total_count after a Flush called once "
+                                 << total << " events had returned";
+          for (uint32_t s = 0; s < kShards; ++s) {
+            const uint64_t epoch = engine.HealthOf(s).published_epoch;
+            EXPECT_GE(epoch, last_epoch[s]) << "shard " << s;
+            last_epoch[s] = epoch;
+          }
+          if (!ok || seen < total) break;
         }
-        const int64_t seen = engine.total_count();
-        EXPECT_GE(seen, total) << "total_count after a Flush called once "
-                               << total << " events had returned";
-        for (uint32_t s = 0; s < kShards; ++s) {
-          const uint64_t epoch = engine.HealthOf(s).published_epoch;
-          EXPECT_GE(epoch, last_epoch[s]) << "shard " << s;
-          last_epoch[s] = epoch;
-        }
-        if (!ok || seen < total) break;
-      }
-      readers_left.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  std::vector<std::thread> producers;
-  for (uint32_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<Event> batch;
-      uint64_t n = 0;
-      while (readers_left.load(std::memory_order_acquire) > 0) {
-        batch.clear();
-        for (uint32_t i = 0; i < kBatch; ++i, ++n) {
-          batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
-        }
-        engine.ApplyBatch(batch);
-        // orders: release pairs with the readers' acquire loads.
-        pushed[p].store(n, std::memory_order_release);
-      }
-    });
-  }
-  for (auto& t : readers) t.join();
-  for (auto& t : producers) t.join();
-
-  engine.Flush();
-  int64_t total = 0;
-  for (uint32_t p = 0; p < kProducers; ++p) {
-    const uint64_t n = pushed[p].load(std::memory_order_relaxed);
-    total += static_cast<int64_t>(n);
-    for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
-      EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+        readers_left.fetch_sub(1, std::memory_order_release);
+      });
     }
+    std::vector<std::thread> producers;
+    for (uint32_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        std::vector<Event> batch;
+        uint64_t n = 0;
+        while (readers_left.load(std::memory_order_acquire) > 0) {
+          batch.clear();
+          for (uint32_t i = 0; i < kBatch; ++i, ++n) {
+            batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
+          }
+          engine.ApplyBatch(batch);
+          // orders: release pairs with the readers' acquire loads.
+          pushed[p].store(n, std::memory_order_release);
+        }
+      });
+    }
+    for (auto& t : readers) t.join();
+    for (auto& t : producers) t.join();
+
+    engine.Flush();
+    int64_t total = 0;
+    for (uint32_t p = 0; p < kProducers; ++p) {
+      const uint64_t n = pushed[p].load(std::memory_order_relaxed);
+      total += static_cast<int64_t>(n);
+      for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
+        EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+      }
+    }
+    EXPECT_EQ(engine.total_count(), total);
   }
-  EXPECT_EQ(engine.total_count(), total);
 }
 
 // The point-read half of the epoch contract, from concurrent histories:
@@ -386,80 +397,85 @@ TEST(ShardedProfilerTest, PointReadsNeverGoBackwardsAndCoverReturnedPushes) {
   constexpr uint32_t kReaders = 2;
   constexpr uint32_t kRoundsPerReader = 200;
   constexpr uint32_t kIdsPerProducer = 40;
-  constexpr uint32_t kCapacity = kProducers * kIdsPerProducer;
+  constexpr uint32_t kIds = kProducers * kIdsPerProducer;
   constexpr uint32_t kBatch = 16;
-  ShardedProfiler engine(kCapacity, EngineOptions{.shards = kShards,
-                                                  .queue_capacity = 1024,
-                                                  .drain_batch = 32,
-                                                  .snapshot_interval = 64});
-  const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
-    return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
-                                kIdsPerProducer);
-  };
+  // Every shard under the copy bound (copy publishes), then every
+  // shard over it (COW page grabs).
+  for (const uint32_t capacity : {kIds, kShards * (kCopyIds + 1)}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    ShardedProfiler engine(capacity, EngineOptions{.shards = kShards,
+                                                    .queue_capacity = 1024,
+                                                    .drain_batch = 32,
+                                                    .snapshot_interval = 64});
+    const auto expected = [](uint64_t n, uint32_t j) -> int64_t {
+      return static_cast<int64_t>((n + kIdsPerProducer - 1 - j) /
+                                  kIdsPerProducer);
+    };
 
-  std::vector<std::atomic<uint64_t>> pushed(kProducers);
-  std::atomic<uint32_t> readers_left{kReaders};
-  std::vector<std::thread> readers;
-  for (uint32_t r = 0; r < kReaders; ++r) {
-    readers.emplace_back([&] {
-      std::vector<int64_t> last(kCapacity, 0);
-      std::vector<uint64_t> before(kProducers);
-      bool ok = true;
-      // Reads every id once; false on the first value below its floor.
-      const auto read_all = [&](bool after_flush) {
-        for (uint32_t id = 0; id < kCapacity; ++id) {
-          const int64_t f = engine.Frequency(id);
-          const uint32_t p = id % kProducers;
-          const int64_t covered = expected(before[p], id / kProducers);
-          const int64_t floor =
-              after_flush ? std::max(last[id], covered) : last[id];
-          if (f < floor) {
-            ADD_FAILURE() << "id " << id << " reads " << f << " below "
-                          << floor << (after_flush ? " after a Flush" : "")
-                          << " (previous read " << last[id] << ", producer "
-                          << p << " had returned " << before[p] << ")";
-            return false;
+    std::vector<std::atomic<uint64_t>> pushed(kProducers);
+    std::atomic<uint32_t> readers_left{kReaders};
+    std::vector<std::thread> readers;
+    for (uint32_t r = 0; r < kReaders; ++r) {
+      readers.emplace_back([&] {
+        std::vector<int64_t> last(kIds, 0);
+        std::vector<uint64_t> before(kProducers);
+        bool ok = true;
+        // Reads every id once; false on the first value below its floor.
+        const auto read_all = [&](bool after_flush) {
+          for (uint32_t id = 0; id < kIds; ++id) {
+            const int64_t f = engine.Frequency(id);
+            const uint32_t p = id % kProducers;
+            const int64_t covered = expected(before[p], id / kProducers);
+            const int64_t floor =
+                after_flush ? std::max(last[id], covered) : last[id];
+            if (f < floor) {
+              ADD_FAILURE() << "id " << id << " reads " << f << " below "
+                            << floor << (after_flush ? " after a Flush" : "")
+                            << " (previous read " << last[id] << ", producer "
+                            << p << " had returned " << before[p] << ")";
+              return false;
+            }
+            last[id] = f;
           }
-          last[id] = f;
+          return true;
+        };
+        for (uint32_t round = 0; round < kRoundsPerReader && ok; ++round) {
+          ok = read_all(/*after_flush=*/false);
+          for (uint32_t p = 0; p < kProducers; ++p) {
+            // orders: acquire pairs with the producer's release store.
+            before[p] = pushed[p].load(std::memory_order_acquire);
+          }
+          engine.Flush();
+          ok = ok && read_all(/*after_flush=*/true);
         }
-        return true;
-      };
-      for (uint32_t round = 0; round < kRoundsPerReader && ok; ++round) {
-        ok = read_all(/*after_flush=*/false);
-        for (uint32_t p = 0; p < kProducers; ++p) {
-          // orders: acquire pairs with the producer's release store.
-          before[p] = pushed[p].load(std::memory_order_acquire);
+        readers_left.fetch_sub(1, std::memory_order_release);
+      });
+    }
+    std::vector<std::thread> producers;
+    for (uint32_t p = 0; p < kProducers; ++p) {
+      producers.emplace_back([&, p] {
+        std::vector<Event> batch;
+        uint64_t n = 0;
+        while (readers_left.load(std::memory_order_acquire) > 0) {
+          batch.clear();
+          for (uint32_t i = 0; i < kBatch; ++i, ++n) {
+            batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
+          }
+          engine.ApplyBatch(batch);
+          // orders: release pairs with the readers' acquire loads.
+          pushed[p].store(n, std::memory_order_release);
         }
-        engine.Flush();
-        ok = ok && read_all(/*after_flush=*/true);
-      }
-      readers_left.fetch_sub(1, std::memory_order_release);
-    });
-  }
-  std::vector<std::thread> producers;
-  for (uint32_t p = 0; p < kProducers; ++p) {
-    producers.emplace_back([&, p] {
-      std::vector<Event> batch;
-      uint64_t n = 0;
-      while (readers_left.load(std::memory_order_acquire) > 0) {
-        batch.clear();
-        for (uint32_t i = 0; i < kBatch; ++i, ++n) {
-          batch.push_back(Event::Add(p + (n % kIdsPerProducer) * kProducers));
-        }
-        engine.ApplyBatch(batch);
-        // orders: release pairs with the readers' acquire loads.
-        pushed[p].store(n, std::memory_order_release);
-      }
-    });
-  }
-  for (auto& t : readers) t.join();
-  for (auto& t : producers) t.join();
+      });
+    }
+    for (auto& t : readers) t.join();
+    for (auto& t : producers) t.join();
 
-  engine.Flush();
-  for (uint32_t p = 0; p < kProducers; ++p) {
-    const uint64_t n = pushed[p].load(std::memory_order_relaxed);
-    for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
-      EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+    engine.Flush();
+    for (uint32_t p = 0; p < kProducers; ++p) {
+      const uint64_t n = pushed[p].load(std::memory_order_relaxed);
+      for (uint32_t j = 0; j < kIdsPerProducer; ++j) {
+        EXPECT_EQ(engine.Frequency(p + j * kProducers), expected(n, j));
+      }
     }
   }
 }
@@ -602,49 +618,63 @@ uint64_t CounterValue(std::string_view name) {
 TEST(ShardedProfilerTest, HazardSlotDefersTheFreeOfTheSnapshotItNames) {
   using Snap = ShardedProfiler::Snapshot;
   constexpr auto kPatience = std::chrono::milliseconds(5000);
-  ShardedProfiler engine(8, SmallOptions(1));
-  // Names shard 0's current snapshot in this thread's slot; the
-  // shared_ptr keeps it alive until the slot does.
-  std::weak_ptr<const Snap> watched;
-  std::optional<internal::HazardPointer<Snap>> pin;
-  const auto pin_current = [&] {
-    const std::shared_ptr<const Snap> snap = engine.ShardSnapshotOf(0);
-    watched = snap;
-    const std::atomic<const Snap*> published{snap.get()};
-    pin.emplace(published);
-  };
+  // Every shard under the copy bound (copy publishes), then every
+  // shard over it (COW page grabs).
+  for (const uint32_t capacity : {uint32_t{8}, kCopyIds + 1}) {
+    SCOPED_TRACE("capacity " + std::to_string(capacity));
+    ShardedProfiler engine(capacity, SmallOptions(1));
+    // Names shard 0's current snapshot in this thread's slot; the
+    // shared_ptr keeps it alive until the slot does.
+    std::weak_ptr<const Snap> watched;
+    std::optional<internal::HazardPointer<Snap>> pin;
+    const auto pin_current = [&] {
+      const std::shared_ptr<const Snap> snap = engine.ShardSnapshotOf(0);
+      watched = snap;
+      const std::atomic<const Snap*> published{snap.get()};
+      pin.emplace(published);
+    };
 
-  // Freed by an idle pass: no publish follows the clear.
-  pin_current();
-  const uint64_t deferred0 = CounterValue("sprofile_engine_retire_deferred");
-  for (int i = 0; i < 3; ++i) {
-    engine.Add(1);
+    // Freed by an idle pass: no publish follows the clear.
+    pin_current();
+    const uint64_t deferred0 = CounterValue("sprofile_engine_retire_deferred");
+    for (int i = 0; i < 3; ++i) {
+      engine.Add(1);
+      engine.Flush();
+    }
+    EXPECT_FALSE(watched.expired()) << "a named snapshot was freed";
+    // Flush returns before its publish's retire scan runs, so the third
+    // deferral can land just after it: wait for it.
+    const auto deferrals = [deferred0] {
+      return CounterValue("sprofile_engine_retire_deferred") - deferred0;
+    };
+    const auto scanned_by = std::chrono::steady_clock::now() + kPatience;
+    while (deferrals() < 3 && std::chrono::steady_clock::now() < scanned_by) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_GE(deferrals(), 3u);
+    pin.reset();
+    const auto deadline = std::chrono::steady_clock::now() + kPatience;
+    while (!watched.expired() && std::chrono::steady_clock::now() < deadline) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    EXPECT_TRUE(watched.expired()) << "the idle worker kept a cleared snapshot";
+
+    // Drain means nothing pending: it waits out the slot, and returns only
+    // once the snapshot is freed.
+    pin_current();
+    engine.Add(2);
     engine.Flush();
+    auto drain = std::async(std::launch::async, [&engine] { engine.Drain(); });
+    EXPECT_EQ(drain.wait_for(std::chrono::milliseconds(200)),
+              std::future_status::timeout)
+        << "Drain returned while a named snapshot was pending";
+    EXPECT_FALSE(watched.expired());
+    pin.reset();
+    ASSERT_EQ(drain.wait_for(kPatience), std::future_status::ready);
+    EXPECT_TRUE(watched.expired()) << "Drain returned with a free pending";
+    EXPECT_EQ(engine.Frequency(1), 3);
+    EXPECT_EQ(engine.Frequency(2), 1);
   }
-  EXPECT_FALSE(watched.expired()) << "a named snapshot was freed";
-  EXPECT_GE(CounterValue("sprofile_engine_retire_deferred") - deferred0, 3u);
-  pin.reset();
-  const auto deadline = std::chrono::steady_clock::now() + kPatience;
-  while (!watched.expired() && std::chrono::steady_clock::now() < deadline) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  EXPECT_TRUE(watched.expired()) << "the idle worker kept a cleared snapshot";
-
-  // Drain means nothing pending: it waits out the slot, and returns only
-  // once the snapshot is freed.
-  pin_current();
-  engine.Add(2);
-  engine.Flush();
-  auto drain = std::async(std::launch::async, [&engine] { engine.Drain(); });
-  EXPECT_EQ(drain.wait_for(std::chrono::milliseconds(200)),
-            std::future_status::timeout)
-      << "Drain returned while a named snapshot was pending";
-  EXPECT_FALSE(watched.expired());
-  pin.reset();
-  ASSERT_EQ(drain.wait_for(kPatience), std::future_status::ready);
-  EXPECT_TRUE(watched.expired()) << "Drain returned with a free pending";
-  EXPECT_EQ(engine.Frequency(1), 3);
-  EXPECT_EQ(engine.Frequency(2), 1);
 }
 
 TEST(ShardedProfilerTest, QueriesNeverBlockIngestionSnapshotLags) {
@@ -1084,26 +1114,35 @@ TEST(EngineOptionsTest, ValidateRejectsPinningMoreShardsThanCores) {
 }
 
 TEST(ShardedProfilerTest, ArenaBackedEngineMatchesOracleAndReportsStats) {
-  constexpr uint32_t kCapacity = 500;
+  // Shards over the copy bound, so every publish is a COW page grab.
+  constexpr uint32_t kShards = 3;
+  constexpr uint32_t kCapacity = kShards * (kCopyIds + 1);
   const std::vector<Event> events = RandomEvents(kCapacity, 30000, 7);
   const baselines::NaiveProfiler oracle = OracleOf(kCapacity, events);
 
-  EngineOptions options = SmallOptions(3);
+  EngineOptions options = SmallOptions(kShards);
   options.page_allocator = PageAllocatorKind::kArena;
   options.arena_bytes = 64 * 1024;
   options.snapshot_interval = 512;  // force publish/fault/retire churn
   ShardedProfiler engine(kCapacity, options);
-  engine.ApplyBatch(events);
+  const std::span<const Event> all(events);
+  const size_t half = events.size() / 2;
+  // The first half retires every epoch-0 grab; the faults counted after
+  // it come from the publishes that followed.
+  engine.ApplyBatch(all.first(half));
+  engine.Drain();
+  const uint64_t faults0 = engine.MemoryStats().totals.cow_faults;
+  engine.ApplyBatch(all.subspan(half));
   engine.Drain();
   ExpectMatchesOracle(engine, oracle);
 
   const EngineMemoryStats stats = engine.MemoryStats();
-  EXPECT_EQ(stats.shards_reporting, 3u);
+  EXPECT_EQ(stats.shards_reporting, kShards);
   EXPECT_GT(stats.totals.pages_allocated, 0u);
   EXPECT_GT(stats.totals.arenas_created, 0u);
   EXPECT_GT(stats.totals.page_bytes_live, 0u);
   // Interval publishing + continued ingestion must have COW-faulted pages.
-  EXPECT_GT(stats.totals.cow_faults, 0u);
+  EXPECT_GT(stats.totals.cow_faults, faults0);
 }
 
 // Regression for "arena_hugepage_arenas = 0 at 8 shards" in

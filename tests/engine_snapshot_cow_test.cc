@@ -8,10 +8,12 @@
 // shorter update prefix to report the minimal N that still fails, plus the
 // seed to reproduce.
 //
-// Engine property: the same invariant through ShardedProfiler with
-// snapshot_mode=cow — per-shard snapshots grabbed at Flush barriers stay
-// frozen while ingestion keeps mutating the live shards — plus
-// cow/deep_copy mode parity on identical event streams.
+// Engine property: the same invariant through ShardedProfiler shards over
+// kCopyPublishMaxBytes, which publish by COW page grab — per-shard
+// snapshots grabbed at Flush barriers stay frozen while ingestion keeps
+// mutating the live shards — plus parity between COW-published and
+// copy-published shards on one event stream, and the fault tally that
+// tells the two apart.
 
 #include <gtest/gtest.h>
 
@@ -250,17 +252,25 @@ TEST(CowSnapshotTest, PeelAndInsertAfterSnapshotStayIsolated) {
 
 namespace eng = sprofile::engine;
 
+// The most ids a shard can hold and still publish by copy; one more and
+// it publishes by COW page grab.
+constexpr uint32_t kCopyIds =
+    static_cast<uint32_t>(kCopyPublishMaxBytes / ProfileFootprintBytes(1));
+static_assert(ProfileFootprintBytes(kCopyIds) <= kCopyPublishMaxBytes);
+static_assert(ProfileFootprintBytes(kCopyIds + 1) > kCopyPublishMaxBytes);
+
 TEST(EngineCowSnapshotTest, BarrierSnapshotsStayFrozenWhileIngestionContinues) {
-  constexpr uint32_t kCapacity = 600;
+  constexpr uint32_t kShards = 2;
+  // Every shard over the copy bound: they publish by COW page grab.
+  constexpr uint32_t kCapacity = kShards * (kCopyIds + 1);
   constexpr uint32_t kBarriers = 12;
   constexpr uint32_t kChunk = 5000;
 
   eng::ShardedProfiler engine(
-      kCapacity, eng::EngineOptions{.shards = 4,
+      kCapacity, eng::EngineOptions{.shards = kShards,
                                     .queue_capacity = 2048,
                                     .drain_batch = 128,
-                                    .snapshot_interval = 0,
-                                    .snapshot_mode = eng::SnapshotMode::kCow});
+                                    .snapshot_interval = 0});
 
   stream::LogStreamGenerator gen(
       stream::MakePaperStreamConfig(2, kCapacity, /*seed=*/4242));
@@ -301,34 +311,72 @@ TEST(EngineCowSnapshotTest, BarrierSnapshotsStayFrozenWhileIngestionContinues) {
   }
 }
 
-TEST(EngineCowSnapshotTest, CowAndDeepCopyModesAgree) {
-  constexpr uint32_t kCapacity = 257;
+// One stream through one capacity twice: on 1 shard, which is over the
+// copy bound and publishes by COW page grab, and on 8 shards, each under
+// it and publishing by copy. Both must give identical answers.
+TEST(EngineCowSnapshotTest, CowAndCopyPublishedShardsAgree) {
+  constexpr uint32_t kCapacity = kCopyIds + 1;
+  static_assert(eng::ShardedProfiler::ShardCapacity(kCapacity, 8, 0) <=
+                kCopyIds);
   stream::LogStreamGenerator gen(
       stream::MakePaperStreamConfig(3, kCapacity, /*seed=*/99));
   std::vector<Event> events;
   gen.GenerateEvents(40000, &events);
 
-  const auto options = [](eng::SnapshotMode mode) {
-    return eng::EngineOptions{.shards = 3,
+  const auto options = [](uint32_t shards) {
+    return eng::EngineOptions{.shards = shards,
                               .queue_capacity = 1024,
                               .drain_batch = 64,
-                              .snapshot_interval = 777,  // publish often
-                              .snapshot_mode = mode};
+                              .snapshot_interval = 777};  // publish often
   };
-  eng::ShardedProfiler cow(kCapacity, options(eng::SnapshotMode::kCow));
-  eng::ShardedProfiler deep(kCapacity, options(eng::SnapshotMode::kDeepCopy));
+  eng::ShardedProfiler cow(kCapacity, options(1));
+  eng::ShardedProfiler copy(kCapacity, options(8));
   cow.ApplyBatch(events);
-  deep.ApplyBatch(events);
+  copy.ApplyBatch(events);
   cow.Drain();
-  deep.Drain();
+  copy.Drain();
 
-  EXPECT_EQ(cow.total_count(), deep.total_count());
-  EXPECT_EQ(cow.Mode(), deep.Mode());
-  EXPECT_EQ(cow.Histogram(), deep.Histogram());
-  EXPECT_EQ(cow.TopK(20), deep.TopK(20));
+  EXPECT_EQ(cow.total_count(), copy.total_count());
+  EXPECT_EQ(cow.Mode(), copy.Mode());
+  EXPECT_EQ(cow.Median(), copy.Median());
+  EXPECT_EQ(cow.Histogram(), copy.Histogram());
+  EXPECT_EQ(cow.TopK(20), copy.TopK(20));
   for (uint32_t id = 0; id < kCapacity; ++id) {
-    ASSERT_EQ(cow.Frequency(id), deep.Frequency(id)) << "id " << id;
+    ASSERT_EQ(cow.Frequency(id), copy.Frequency(id)) << "id " << id;
   }
+}
+
+// A shard at the copy bound publishes by Clone(), so its live profile
+// never shares a page and its writes never COW-fault; one id more and it
+// grabs pages, and the writes after each publish fault. The epoch-0
+// snapshot is a page grab on both sides, so the first burst may fault
+// against it; the tally starts once the first Flush has replaced it.
+TEST(EngineCowSnapshotTest, ShardsUnderTheCopyBoundNeverFault) {
+  constexpr int kPublishes = 24;
+  const auto faults_over_publishes = [](uint32_t capacity) {
+    eng::ShardedProfiler engine(
+        capacity, eng::EngineOptions{.shards = 1, .snapshot_interval = 0});
+    stream::LogStreamGenerator gen(
+        stream::MakePaperStreamConfig(2, capacity, /*seed=*/17));
+    std::vector<Event> burst;
+    gen.GenerateEvents(4096, &burst);
+    engine.ApplyBatch(burst);
+    engine.Drain();
+    const uint64_t faults0 = engine.MemoryStats().totals.cow_faults;
+    const size_t publishes0 = engine.SnapshotPauseSamplesNs().size();
+    for (int i = 0; i < kPublishes; ++i) {
+      burst.clear();
+      gen.GenerateEvents(4096, &burst);
+      engine.ApplyBatch(burst);
+      engine.Flush();
+    }
+    engine.Drain();
+    EXPECT_GE(engine.SnapshotPauseSamplesNs().size() - publishes0,
+              static_cast<size_t>(kPublishes));
+    return engine.MemoryStats().totals.cow_faults - faults0;
+  };
+  EXPECT_EQ(faults_over_publishes(kCopyIds), 0u);
+  EXPECT_GT(faults_over_publishes(kCopyIds + 1), 0u);
 }
 
 }  // namespace
